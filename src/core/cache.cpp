@@ -64,15 +64,7 @@ namespace {
 
 // Exact-match pattern over all used header bits.
 Ternary microflow_pattern(const BitVec& packet) {
-  Ternary t;
-  std::size_t at = 0;
-  const std::size_t used = header_bits_used();
-  while (at < used) {
-    const std::size_t chunk = std::min<std::size_t>(64, used - at);
-    t.set_exact(at, chunk, packet.get_bits(at, chunk));
-    at += chunk;
-  }
-  return t;
+  return Ternary(packet, used_header_mask());
 }
 
 }  // namespace

@@ -155,9 +155,7 @@ SymbolicReport verify_ingress_symbolically(Network& net, DifaneController& contr
   // would be a false alarm — `witness_real` filters those by sampling.
   const std::size_t used_bits = header_bits_used();
   std::unordered_set<BitVec> exact_points;
-  BitVec used_mask;
-  for (std::size_t b = 0; b < used_bits; ++b) used_mask.set(b, true);
-  auto canon = [&](const BitVec& v) { return v & used_mask; };
+  auto canon = [](const BitVec& v) { return v & used_header_mask(); };
   Rng witness_rng(0xd1fa);
   auto witness_real = [&](const Ternary& witness) {
     if (exact_points.empty()) return true;

@@ -42,6 +42,11 @@ const std::vector<FieldSpec>& all_fields();
 // Total bits used by the 12-tuple (== offset+width of the last field).
 std::size_t header_bits_used();
 
+// Care mask over the header_bits_used() bits the 12-tuple occupies. A
+// pattern caring about all of them pins down one header (bits above the
+// 12-tuple carry nothing); packet & used_header_mask() is its exact key.
+const BitVec& used_header_mask();
+
 // ---- Packet construction ----------------------------------------------
 
 // A concrete packet header is just a BitVec; this builder names the fields.

@@ -30,11 +30,9 @@ const char* cache_removal_name(CacheRemoval cause) {
 FlowTable::FlowTable(std::size_t cache_capacity, std::size_t hw_capacity)
     : cache_capacity_(cache_capacity), hw_capacity_(hw_capacity) {}
 
-bool FlowTable::full_mask(const Ternary& match) {
-  for (auto word : match.care().w) {
-    if (word != ~0ULL) return false;
-  }
-  return true;
+bool FlowTable::exact_indexed(const Ternary& match) {
+  const BitVec& used = used_header_mask();
+  return (match.care() & used) == used;
 }
 
 double FlowTable::next_expiry(const FlowEntry& e) {
@@ -50,8 +48,13 @@ void FlowTable::note_expiry(const FlowEntry& e) {
 
 void FlowTable::recompute_watermark() {
   double t = std::numeric_limits<double>::infinity();
-  for (const auto& bs : bands_) {
-    for (const auto slot : bs.order) t = std::min(t, next_expiry(slab_[slot]));
+  for (std::uint32_t s = lru_head_; s != kNilSlot; s = links_[s].lru_next) {
+    t = std::min(t, next_expiry(slab_[s]));
+  }
+  for (const Band band : {Band::kAuthority, Band::kPartition}) {
+    for (const auto slot : bands_[index(band)].order) {
+      t = std::min(t, next_expiry(slab_[slot]));
+    }
   }
   expiry_watermark_ = t;
 }
@@ -64,8 +67,7 @@ std::uint32_t FlowTable::alloc_slot() {
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(slab_.size());
   slab_.emplace_back();
-  exact_next_.push_back(kNilSlot);
-  order_pos_.push_back(0);
+  links_.emplace_back();
   return slot;
 }
 
@@ -75,83 +77,153 @@ void FlowTable::release_slot(std::uint32_t slot) {
   e.packets = 0;
   e.bytes = 0;
   e.guards.clear();  // keeps capacity for the next tenant
-  exact_next_[slot] = kNilSlot;
+  links_[slot] = CacheLinks{};
   free_slots_.push_back(slot);
 }
 
-void FlowTable::refresh_positions(const BandState& bs, std::size_t from) {
-  for (std::size_t i = from; i < bs.order.size(); ++i) {
-    order_pos_[bs.order[i]] = static_cast<std::uint32_t>(i);
-  }
-}
-
 void FlowTable::order_insert(BandState& bs, std::uint32_t slot) {
-  // Same probe sequence as lower_bound over the old entry vector, so the
-  // landing position matches it bit-for-bit even when stale-positioned
-  // refreshed entries leave the band not strictly sorted.
-  const Rule& key = slab_[slot].rule;
-  const auto it = std::lower_bound(
-      bs.order.begin(), bs.order.end(), key,
-      [this](std::uint32_t s, const Rule& r) { return rule_before(slab_[s].rule, r); });
-  const std::size_t pos = static_cast<std::size_t>(it - bs.order.begin());
+  const auto it =
+      std::lower_bound(bs.order.begin(), bs.order.end(), slot, by_key());
   bs.order.insert(it, slot);
-  refresh_positions(bs, pos);
 }
 
 void FlowTable::order_erase(BandState& bs, std::uint32_t slot) {
-  const std::size_t pos = order_pos_[slot];
-  bs.order.erase(bs.order.begin() + static_cast<std::ptrdiff_t>(pos));
-  refresh_positions(bs, pos);
+  const auto it =
+      std::lower_bound(bs.order.begin(), bs.order.end(), slot, by_key());
+  expects(it != bs.order.end() && *it == slot, "FlowTable: band order out of sync");
+  bs.order.erase(it);
+}
+
+std::uint32_t FlowTable::exact_hash(const BitVec& key) {
+  // Finalize BitVec::hash (a word combine) so every low bit depends on the
+  // whole key: the low bits pick the home bucket.
+  std::uint64_t h = key.hash();
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<std::uint32_t>(h);
+}
+
+std::size_t FlowTable::exact_bucket(const BitVec& key, std::uint32_t hash) const {
+  const std::size_t mask = exact_buckets_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const ExactBucket& b = exact_buckets_[i];
+    if (b.head == kNilSlot) return i;
+    if (b.hash == hash && exact_key(slab_[b.head].rule.match) == key) return i;
+  }
+}
+
+void FlowTable::exact_erase_bucket(std::size_t hole) {
+  // Pull later members of the probe run back into the hole unless their
+  // home bucket lies (cyclically) after it, so every key stays reachable.
+  const std::size_t mask = exact_buckets_.size() - 1;
+  exact_buckets_[hole].head = kNilSlot;
+  --exact_keys_;
+  for (std::size_t j = (hole + 1) & mask; exact_buckets_[j].head != kNilSlot;
+       j = (j + 1) & mask) {
+    const std::size_t home = exact_buckets_[j].hash & mask;
+    if (((j - home) & mask) < ((j - hole) & mask)) continue;
+    exact_buckets_[hole] = exact_buckets_[j];
+    exact_buckets_[j].head = kNilSlot;
+    hole = j;
+  }
+}
+
+void FlowTable::exact_grow() {
+  std::vector<ExactBucket> old = std::move(exact_buckets_);
+  exact_buckets_.assign(std::max<std::size_t>(16, 2 * old.size()), ExactBucket{});
+  const std::size_t mask = exact_buckets_.size() - 1;
+  for (const ExactBucket& b : old) {
+    if (b.head == kNilSlot) continue;
+    std::size_t i = b.hash & mask;
+    while (exact_buckets_[i].head != kNilSlot) i = (i + 1) & mask;
+    exact_buckets_[i] = b;
+  }
 }
 
 void FlowTable::link_cache_aux(std::uint32_t slot) {
   const FlowEntry& e = slab_[slot];
-  if (full_mask(e.rule.match)) {
-    const auto [it, inserted] = cache_exact_.try_emplace(e.rule.match.value(), slot);
-    if (!inserted) {
-      exact_next_[slot] = it->second;
-      it->second = slot;
-    } else {
-      exact_next_[slot] = kNilSlot;
+  if (exact_indexed(e.rule.match)) {
+    if (2 * (exact_keys_ + 1) > exact_buckets_.size()) exact_grow();
+    const BitVec key = exact_key(e.rule.match);
+    const std::uint32_t hash = exact_hash(key);
+    ExactBucket& b = exact_buckets_[exact_bucket(key, hash)];
+    links_[slot].exact_next = b.head;  // kNilSlot for a new key
+    if (b.head == kNilSlot) {
+      b.hash = hash;
+      ++exact_keys_;
     }
+    b.head = slot;
   } else {
-    const std::uint32_t pos = order_pos_[slot];
-    const auto it = std::lower_bound(
-        cache_wild_order_.begin(), cache_wild_order_.end(), pos,
-        [this](std::uint32_t s, std::uint32_t p) { return order_pos_[s] < p; });
-    cache_wild_order_.insert(it, slot);
+    const auto it =
+        std::lower_bound(cache_wild_.begin(), cache_wild_.end(), slot, by_key());
+    cache_wild_.insert(it, slot);
   }
 }
 
 void FlowTable::unlink_cache_aux(std::uint32_t slot) {
   const FlowEntry& e = slab_[slot];
-  if (full_mask(e.rule.match)) {
-    const auto it = cache_exact_.find(e.rule.match.value());
-    expects(it != cache_exact_.end(), "FlowTable: exact index out of sync");
-    if (it->second == slot) {
-      if (exact_next_[slot] == kNilSlot) {
-        cache_exact_.erase(it);
-      } else {
-        it->second = exact_next_[slot];
+  if (exact_indexed(e.rule.match)) {
+    expects(exact_keys_ > 0, "FlowTable: exact index out of sync");
+    const BitVec key = exact_key(e.rule.match);
+    const std::size_t i = exact_bucket(key, exact_hash(key));
+    ExactBucket& b = exact_buckets_[i];
+    expects(b.head != kNilSlot, "FlowTable: exact index out of sync");
+    if (b.head != slot) {
+      std::uint32_t prev = b.head;
+      while (links_[prev].exact_next != slot) {
+        expects(links_[prev].exact_next != kNilSlot,
+                "FlowTable: exact chain out of sync");
+        prev = links_[prev].exact_next;
       }
+      links_[prev].exact_next = links_[slot].exact_next;
+    } else if (links_[slot].exact_next != kNilSlot) {
+      b.head = links_[slot].exact_next;
     } else {
-      std::uint32_t prev = it->second;
-      while (exact_next_[prev] != slot) {
-        expects(exact_next_[prev] != kNilSlot, "FlowTable: exact chain out of sync");
-        prev = exact_next_[prev];
-      }
-      exact_next_[prev] = exact_next_[slot];
+      exact_erase_bucket(i);
     }
-    exact_next_[slot] = kNilSlot;
+    links_[slot].exact_next = kNilSlot;
   } else {
-    const std::uint32_t pos = order_pos_[slot];
-    const auto it = std::lower_bound(
-        cache_wild_order_.begin(), cache_wild_order_.end(), pos,
-        [this](std::uint32_t s, std::uint32_t p) { return order_pos_[s] < p; });
-    expects(it != cache_wild_order_.end() && *it == slot,
+    const auto it =
+        std::lower_bound(cache_wild_.begin(), cache_wild_.end(), slot, by_key());
+    expects(it != cache_wild_.end() && *it == slot,
             "FlowTable: wildcard index out of sync");
-    cache_wild_order_.erase(it);
+    cache_wild_.erase(it);
   }
+}
+
+void FlowTable::lru_link(std::uint32_t slot) {
+  // Keep the list sorted by last_hit: walk back from the most recent end
+  // past entries touched later than this one. With time moving forward that
+  // is none, so a touch is O(1) even when many entries share an instant.
+  const double t = slab_[slot].last_hit;
+  std::uint32_t prev = lru_tail_;
+  while (prev != kNilSlot && slab_[prev].last_hit > t) prev = links_[prev].lru_prev;
+  const std::uint32_t next = prev == kNilSlot ? lru_head_ : links_[prev].lru_next;
+  links_[slot].lru_prev = prev;
+  links_[slot].lru_next = next;
+  (prev == kNilSlot ? lru_head_ : links_[prev].lru_next) = slot;
+  (next == kNilSlot ? lru_tail_ : links_[next].lru_prev) = slot;
+}
+
+void FlowTable::lru_unlink(std::uint32_t slot) {
+  CacheLinks& l = links_[slot];
+  (l.lru_prev == kNilSlot ? lru_head_ : links_[l.lru_prev].lru_next) = l.lru_next;
+  (l.lru_next == kNilSlot ? lru_tail_ : links_[l.lru_next].lru_prev) = l.lru_prev;
+  l.lru_prev = kNilSlot;
+  l.lru_next = kNilSlot;
+}
+
+std::vector<std::uint32_t> FlowTable::cache_order() const {
+  std::vector<std::uint32_t> slots;
+  slots.reserve(bands_[index(Band::kCache)].by_id.size());
+  for (std::uint32_t s = lru_head_; s != kNilSlot; s = links_[s].lru_next) {
+    slots.push_back(s);
+  }
+  std::sort(slots.begin(), slots.end(), by_key());
+  return slots;
 }
 
 void FlowTable::link_guards(std::uint32_t slot) {
@@ -174,12 +246,12 @@ void FlowTable::unlink_guards(std::uint32_t slot) {
 void FlowTable::erase_entry(std::uint32_t slot, Band band) {
   BandState& bs = bands_[index(band)];
   if (band == Band::kCache) {
-    // Aux lists search by order position, so unlink before the erase shifts
-    // positions.
     unlink_cache_aux(slot);
     unlink_guards(slot);
+    lru_unlink(slot);
+  } else {
+    order_erase(bs, slot);
   }
-  order_erase(bs, slot);
   bs.by_id.erase(slab_[slot].rule.id);
   release_slot(slot);
 }
@@ -211,19 +283,20 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       }
     }
   }
-  // Same-id reinstall refreshes the entry in place (counters survive). The
-  // entry keeps its band position even when the refresh changes the
-  // priority — exactly what the old in-place vector refresh did — so only a
-  // changed match needs the exact/wildcard indices rekeyed (the wildcard
-  // list orders by position, which does not move).
+  // Same-id reinstall refreshes the entry in place (counters survive). A
+  // changed priority moves it to its new key position; a changed match
+  // rekeys the cache indices.
   const auto existing = bs.by_id.find(rule.id);
   if (existing != bs.by_id.end()) {
     const std::uint32_t slot = existing->second;
     FlowEntry& e = slab_[slot];
-    const bool match_changed = !(e.rule.match == rule.match);
+    const bool reorder = e.rule.priority != rule.priority;
+    const bool rekey = reorder || !(e.rule.match == rule.match);
     if (band == Band::kCache) {
-      if (match_changed) unlink_cache_aux(slot);
+      if (rekey) unlink_cache_aux(slot);
       unlink_guards(slot);
+    } else if (reorder) {
+      order_erase(bs, slot);
     }
     e.rule = rule;
     e.install_time = now;
@@ -244,8 +317,11 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
     e.last_hit = now;
     e.guards = std::move(guards);
     if (band == Band::kCache) {
-      if (match_changed) link_cache_aux(slot);
+      if (rekey) link_cache_aux(slot);
       link_guards(slot);
+      lru_touch(slot);
+    } else if (reorder) {
+      order_insert(bs, slot);
     }
     note_expiry(e);
     ++stats_.installs;
@@ -256,10 +332,9 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
       ++stats_.install_rejected;
       return false;
     }
-    while (bs.order.size() >= cache_capacity_) evict_lru_cache(now);
+    while (bs.by_id.size() >= cache_capacity_) evict_lru_cache();
   } else {
-    const std::size_t other = bands_[index(Band::kAuthority)].order.size() +
-                              bands_[index(Band::kPartition)].order.size();
+    const std::size_t other = size(Band::kAuthority) + size(Band::kPartition);
     if (other >= hw_capacity_) {
       ++stats_.install_rejected;
       return false;
@@ -276,11 +351,13 @@ bool FlowTable::install(const Rule& rule, Band band, double now, double idle_tim
   e.packets = 0;
   e.bytes = 0;
   e.guards = std::move(guards);
-  order_insert(bs, slot);
   bs.by_id.emplace(rule.id, slot);
   if (band == Band::kCache) {
     link_cache_aux(slot);
     link_guards(slot);
+    lru_link(slot);
+  } else {
+    order_insert(bs, slot);
   }
   note_expiry(e);
   ++stats_.installs;
@@ -294,26 +371,18 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
           "install()");
   ++gen_;
   BandState& bs = bands_[index(band)];
-  const std::size_t before = bs.order.size();
-  expects(std::is_sorted(bs.order.begin(), bs.order.end(),
-                         [this](std::uint32_t a, std::uint32_t b) {
-                           return rule_before(slab_[a].rule, slab_[b].rule);
-                         }),
-          "install_bulk: band order not rule_before-sorted (a refresh changed "
-          "an entry's priority?)");
+  const std::size_t old_size = bs.order.size();
   std::size_t accepted = 0;
   for (const Rule* rule : rules) {
-    // Same-id refresh keeps its position — identical to install(). Non-cache
-    // bands have no aux indices or guard links to rekey.
+    // A same-priority refresh keeps its position — identical to install().
+    // Non-cache bands have no aux indices or guard links to rekey.
     const auto existing = bs.by_id.find(rule->id);
     if (existing != bs.by_id.end()) {
       FlowEntry& e = slab_[existing->second];
-      // A same-priority refresh keeps the band sorted; a priority change
-      // would leave this entry stale-positioned and break the sortedness
-      // precondition for the next bulk call (and the equivalence with
-      // sequential install()). No non-cache caller changes priority on a
-      // refresh — partition repoints swap the action, authority reinstalls
-      // are identical rules — so reject it outright.
+      // A priority change would need the entry moved, which the merge below
+      // does not do. No non-cache caller changes priority on a refresh —
+      // partition repoints swap the action, authority reinstalls are
+      // identical rules — so reject it outright.
       expects(e.rule.priority == rule->priority,
               "install_bulk: refresh must not change priority (use install())");
       e.rule = *rule;
@@ -327,9 +396,7 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
       ++accepted;
       continue;
     }
-    const std::size_t other = bands_[index(Band::kAuthority)].order.size() +
-                              bands_[index(Band::kPartition)].order.size();
-    if (other >= hw_capacity_) {
+    if (size(Band::kAuthority) + size(Band::kPartition) >= hw_capacity_) {
       ++stats_.install_rejected;
       continue;
     }
@@ -350,18 +417,14 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
     ++stats_.installs;
     ++accepted;
   }
-  if (bs.order.size() != before) {
+  if (bs.order.size() != old_size) {
     // One sort of the appended tail plus one merge with the (sorted) prefix
     // lands every new entry at exactly the position sequential order_insert
     // calls would have chosen: rule_before is a strict total order, so the
     // merged result is the unique sorted arrangement either way.
-    const auto mid = bs.order.begin() + static_cast<std::ptrdiff_t>(before);
-    const auto by_rule = [this](std::uint32_t a, std::uint32_t b) {
-      return rule_before(slab_[a].rule, slab_[b].rule);
-    };
-    std::sort(mid, bs.order.end(), by_rule);
-    std::inplace_merge(bs.order.begin(), mid, bs.order.end(), by_rule);
-    refresh_positions(bs, 0);
+    const auto mid = bs.order.begin() + static_cast<std::ptrdiff_t>(old_size);
+    std::sort(mid, bs.order.end(), by_key());
+    std::inplace_merge(bs.order.begin(), mid, bs.order.end(), by_key());
   }
   return accepted;
 }
@@ -400,16 +463,17 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
   }
 }
 
-void FlowTable::evict_lru_cache(double now) {
+void FlowTable::evict_lru_cache() {
   ++gen_;
-  BandState& cache = bands_[index(Band::kCache)];
-  expects(!cache.order.empty(), "evict_lru_cache: cache empty");
-  (void)now;
-  // First entry (in band priority order) with the minimal last_hit — the
-  // same victim min_element picked over the band-sorted entry vector.
-  std::uint32_t victim = cache.order[0];
-  for (const std::uint32_t slot : cache.order) {
-    if (slab_[slot].last_hit < slab_[victim].last_hit) victim = slot;
+  // Minimal last_hit, ties broken by band order: the recency list is sorted
+  // by last_hit, so the candidates are its head run of entries sharing the
+  // oldest last_hit — one entry unless several were touched at that instant.
+  std::uint32_t victim = lru_head_;
+  expects(victim != kNilSlot, "evict_lru_cache: cache empty");
+  const double oldest = slab_[victim].last_hit;
+  for (std::uint32_t s = links_[victim].lru_next;
+       s != kNilSlot && slab_[s].last_hit == oldest; s = links_[s].lru_next) {
+    if (rule_before(slab_[s].rule, slab_[victim].rule)) victim = s;
   }
   retire(slab_[victim]);
   notify_removal(slab_[victim], CacheRemoval::kEvicted);
@@ -417,6 +481,13 @@ void FlowTable::evict_lru_cache(double now) {
   erase_entry(victim, Band::kCache);
   ++stats_.evictions;
   cascade_remove_dependents({gone});
+  // The next victim is by definition the coldest entry; start fetching it
+  // (and the entry its tie check reads) while the caller installs.
+  if (lru_head_ != kNilSlot) {
+    util::prefetch_read_range(&slab_[lru_head_], sizeof(FlowEntry));
+    const std::uint32_t next = links_[lru_head_].lru_next;
+    if (next != kNilSlot) util::prefetch_read(&slab_[next].last_hit);
+  }
 }
 
 bool FlowTable::remove(RuleId id, Band band) {
@@ -435,18 +506,22 @@ bool FlowTable::remove(RuleId id, Band band) {
 void FlowTable::clear_band(Band band) {
   ++gen_;
   BandState& bs = bands_[index(band)];
-  for (const std::uint32_t slot : bs.order) {
+  const bool is_cache = band == Band::kCache;
+  for (const std::uint32_t slot : is_cache ? cache_order() : bs.order) {
     retire(slab_[slot]);
-    if (band == Band::kCache) notify_removal(slab_[slot], CacheRemoval::kCleared);
+    if (is_cache) notify_removal(slab_[slot], CacheRemoval::kCleared);
     release_slot(slot);
   }
   bs.order.clear();
   bs.by_id.clear();
-  if (band == Band::kCache) {
-    // Guard links and exact/wildcard indices only ever reference cache
-    // entries, so wiping the band wipes them wholesale.
-    cache_exact_.clear();
-    cache_wild_order_.clear();
+  if (is_cache) {
+    // Guard links and the cache indices only ever reference cache entries,
+    // so wiping the band wipes them wholesale.
+    std::fill(exact_buckets_.begin(), exact_buckets_.end(), ExactBucket{});
+    exact_keys_ = 0;
+    cache_wild_.clear();
+    lru_head_ = kNilSlot;
+    lru_tail_ = kNilSlot;
     dependents_.clear();
   }
   recompute_watermark();
@@ -455,48 +530,59 @@ void FlowTable::clear_band(Band band) {
 std::size_t FlowTable::expire(double now) {
   ++gen_;
   std::size_t total = 0;
+  // The walk below also takes the survivors' earliest expiry as the new
+  // watermark. Entries the cascade removes afterwards only make it lower
+  // than it needs to be, which costs at most one sweep that finds nothing.
+  double watermark = std::numeric_limits<double>::infinity();
+  // Cache band first, in band order (removal notifications and the cascade
+  // follow it): collect the expired slots, then sort just those.
+  std::vector<std::uint32_t> dead;
+  for (std::uint32_t s = lru_head_; s != kNilSlot; s = links_[s].lru_next) {
+    const FlowEntry& e = slab_[s];
+    if (e.expired(now)) {
+      dead.push_back(s);
+    } else {
+      watermark = std::min(watermark, next_expiry(e));
+    }
+  }
+  std::sort(dead.begin(), dead.end(), by_key());
   std::vector<RuleId> expired_cache;
-  for (std::size_t b = 0; b < kNumBands; ++b) {
-    BandState& bs = bands_[b];
-    const bool is_cache = b == index(Band::kCache);
-    // Compact survivors in place; order_pos_ stays untouched until after the
-    // pass so the aux-list unlinks (which search by position) stay valid.
+  for (const std::uint32_t slot : dead) {
+    const FlowEntry& e = slab_[slot];
+    retire(e);
+    notify_removal(e, CacheRemoval::kExpired);
+    expired_cache.push_back(e.rule.id);
+    erase_entry(slot, Band::kCache);
+  }
+  total += dead.size();
+  for (const Band band : {Band::kAuthority, Band::kPartition}) {
+    // Compact survivors in place.
+    BandState& bs = bands_[index(band)];
     std::size_t kept = 0;
-    std::size_t first_removed = bs.order.size();
-    for (std::size_t i = 0; i < bs.order.size(); ++i) {
-      const std::uint32_t slot = bs.order[i];
+    for (const std::uint32_t slot : bs.order) {
       FlowEntry& e = slab_[slot];
       if (!e.expired(now)) {
         bs.order[kept++] = slot;
+        watermark = std::min(watermark, next_expiry(e));
         continue;
       }
-      if (first_removed > i) first_removed = i;
       retire(e);
-      if (is_cache) {
-        notify_removal(e, CacheRemoval::kExpired);
-        expired_cache.push_back(e.rule.id);
-        unlink_cache_aux(slot);
-        unlink_guards(slot);
-      }
       bs.by_id.erase(e.rule.id);
       release_slot(slot);
       ++total;
     }
-    if (kept < bs.order.size()) {
-      bs.order.resize(kept);
-      refresh_positions(bs, first_removed);
-    }
+    bs.order.resize(kept);
   }
   stats_.expirations += total;
   if (!expired_cache.empty()) cascade_remove_dependents(std::move(expired_cache));
-  recompute_watermark();
+  expiry_watermark_ = watermark;
   return total;
 }
 
 std::uint32_t FlowTable::exact_head(const BitVec& packet) const {
-  if (cache_exact_.empty()) return kNilSlot;
-  const auto it = cache_exact_.find(packet);
-  return it == cache_exact_.end() ? kNilSlot : it->second;
+  if (exact_keys_ == 0) return kNilSlot;
+  const BitVec key = packet & used_header_mask();
+  return exact_buckets_[exact_bucket(key, exact_hash(key))].head;
 }
 
 const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
@@ -505,25 +591,23 @@ const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) co
 
 const FlowEntry* FlowTable::resolve_live_match(const BitVec& packet, double now,
                                                std::uint32_t head) const {
-  // Cache band: exact-match fast path plus the wildcard-only ordered scan.
-  // The winner is the FIRST live match in band order, so candidates from the
-  // exact chain and the wildcard list compare by position, not priority —
-  // same-id refreshes can leave a band locally unsorted and the original
-  // linear scan still picked the earliest entry.
+  // Cache band: the winner is the first live match in key order. The exact
+  // chain (unordered, usually one entry) yields its key-minimal live match;
+  // the key-ordered wildcard scan stops at its first live match or as soon
+  // as it sorts after that exact candidate.
   const FlowEntry* win = nullptr;
-  std::uint32_t win_pos = 0;
-  for (std::uint32_t s = head; s != kNilSlot; s = exact_next_[s]) {
+  for (std::uint32_t s = head; s != kNilSlot; s = links_[s].exact_next) {
     const FlowEntry& e = slab_[s];
-    if (!live_match(e, packet, now)) continue;
-    if (win == nullptr || order_pos_[s] < win_pos) {
+    if (live_match(e, packet, now) &&
+        (win == nullptr || rule_before(e.rule, win->rule))) {
       win = &e;
-      win_pos = order_pos_[s];
     }
   }
-  for (const std::uint32_t s : cache_wild_order_) {
+  for (const std::uint32_t s : cache_wild_) {
     const FlowEntry& e = slab_[s];
+    if (win != nullptr && rule_before(win->rule, e.rule)) break;
     if (live_match(e, packet, now)) {
-      if (win == nullptr || order_pos_[s] < win_pos) win = &e;
+      win = &e;
       break;
     }
   }
@@ -564,8 +648,13 @@ const FlowEntry* FlowTable::finish_lookup(FlowEntry* entry, double now,
     const auto& by_id = bands_[index(Band::kCache)].by_id;
     for (const RuleId g : entry->guards) {
       const auto it = by_id.find(g);
-      if (it != by_id.end()) slab_[it->second].last_hit = now;
+      if (it == by_id.end()) continue;
+      slab_[it->second].last_hit = now;
+      lru_touch(it->second);
     }
+  }
+  if (entry->band == Band::kCache) {
+    lru_touch(static_cast<std::uint32_t>(entry - slab_.data()));
   }
   return entry;
 }
@@ -585,7 +674,7 @@ void FlowTable::lookup_prefetch(const BitVec* const* keys, std::size_t n,
       std::uint32_t slot = head;
       for (std::uint32_t d = 0; d < prefetch_depth_ && slot != kNilSlot; ++d) {
         util::prefetch_read_range(&slab_[slot], sizeof(FlowEntry));
-        slot = exact_next_[slot];
+        slot = links_[slot].exact_next;
       }
     }
   }
@@ -633,6 +722,7 @@ bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {
   ++e.packets;
   e.bytes += bytes;
   ++stats_.hits_per_band[index(band)];
+  if (band == Band::kCache) lru_touch(it->second);
   return true;
 }
 
@@ -642,7 +732,7 @@ const FlowEntry* FlowTable::peek(const BitVec& packet, double now) const {
 
 std::size_t FlowTable::total_size() const {
   std::size_t n = 0;
-  for (const auto& bs : bands_) n += bs.order.size();
+  for (const auto& bs : bands_) n += bs.by_id.size();
   return n;
 }
 

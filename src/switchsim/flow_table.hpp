@@ -5,17 +5,29 @@
 // when the cache band is full; authority and partition entries are proactive
 // and never expire.
 //
-// Fast-path layout: entries live in a stable slab; each band keeps an
-// ordered index of slab slots plus a RuleId hash map, and the cache band
-// additionally keeps an exact-match hash (full-mask microflow entries, the
-// dominant NOX / kExact case) with a wildcard-only ordered scan as the
-// fallthrough. The band order mirrors the original vector semantics
-// bit-for-bit: inserts land at their rule_before position, same-id refreshes
-// stay where they are (even when the refresh changes the priority), and the
-// winner is always the first live match in band order. Expiry is lazy: a
-// min-expiry watermark skips the per-lookup sweep entirely until some entry
-// can actually have timed out, at which point a full sweep runs — so
-// observable behavior (stats, cascades, LRU order) is byte-identical to
+// Fast-path layout: entries live in a stable slab, and every band is ordered
+// by the rule_before key (priority desc, id asc); the winner is the first
+// live match in that order. A same-id refresh that changes an entry's
+// priority re-positions it. Authority and partition bands keep a sorted slot
+// vector. The cache band keeps no full order. Instead it has three indices,
+// so that installing, hitting or evicting an exact-indexed entry costs O(1)
+// whatever the occupancy:
+//   - an exact-match hash over entries whose care bits cover every used
+//     header bit (used_header_mask(): the 253 bits of the 12-tuple), keyed
+//     by value & used mask and probed with packet & used mask. Chain
+//     candidates still pass live_match, so an entry that also cares about
+//     the unused top bits stays exact on them;
+//   - a key-ordered wildcard list holding every other cache entry, scanned
+//     only until it sorts after the exact winner (a wildcard install or
+//     removal shifts this list, which its lookup scan walks anyway);
+//   - an intrusive recency list sorted by last_hit (a touch moves an entry
+//     to the recent end). The LRU victim — minimal last_hit, ties broken by
+//     band order — is the key-minimal entry of the list's head run, which
+//     is one entry unless several were last touched at the same instant.
+// entries(Band::kCache) materializes the band order on demand. Expiry is
+// lazy: a min-expiry watermark skips the per-lookup sweep entirely until
+// some entry can actually have timed out, at which point a full sweep runs —
+// so observable behavior (stats, cascades, LRU order) is byte-identical to
 // sweeping on every lookup.
 #pragma once
 
@@ -26,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "flowspace/header.hpp"
 #include "flowspace/rule.hpp"
 
 namespace difane {
@@ -98,18 +111,15 @@ class FlowTable {
   // final match order, same stats counters, same capacity/refresh
   // behaviour), but O((n + k) + k log k) instead of O(n * k) — new entries
   // are appended and merged into the band order once instead of paying a
-  // vector memmove plus a full position refresh per rule. Used by the
-  // controller's initial authority/partition population, where the
-  // per-insert path is quadratic at millions of rules (the E11 stress tier).
+  // vector memmove per rule. Used by the controller's initial
+  // authority/partition population, where the per-insert path is quadratic
+  // at millions of rules (the E11 stress tier).
   //
-  // Precondition: the band order is rule_before-sorted on entry. That holds
-  // for any band populated through install()/install_bulk, because
-  // rule_before is a strict total order (priority desc, id asc), ids are
-  // unique within a band, and same-id refreshes keep their position — it
-  // could only break if a refresh changed an entry's priority, which no
-  // non-cache caller does. Timeouts are fixed at "never" (0.0) and guards
-  // empty, matching every existing non-cache install site. Returns the
-  // number of rules accepted (installed or refreshed in place).
+  // A refresh here updates the entry in place and must not change its
+  // priority (no non-cache caller does; install() re-positions such a
+  // refresh). Timeouts are fixed at "never" (0.0) and guards empty, matching
+  // every existing non-cache install site. Returns the number of rules
+  // accepted (installed or refreshed in place).
   std::size_t install_bulk(const std::vector<const Rule*>& rules, Band band,
                            double now);
 
@@ -124,10 +134,10 @@ class FlowTable {
   const FlowEntry* lookup(const BitVec& packet, double now, std::uint64_t bytes = 1);
 
   // ---- Burst-mode batch lookup --------------------------------------------
-  // Two-phase shape (NDN-DPDK style): pass 1 hashes every key in the burst
-  // and prefetches the slab entries it will touch; pass 2 resolves one key
-  // at a time, interleaved with whatever per-packet work the caller does in
-  // between. Pass 1 performs no observable mutation (no sweep, no counters),
+  // Two-phase shape (NDN-DPDK style): pass 1 finds every key's exact chain
+  // head (loading it for the key compare) and prefetches the rest of the
+  // chain it will touch; pass 2 resolves one key at a time, interleaved with
+  // whatever per-packet work the caller does in between. Pass 1 performs no observable mutation (no sweep, no counters),
   // so the sequence {prefetch; prepared(0); prepared(1); ...} is
   // byte-identical to scalar lookup() calls at the same (key, now) sequence —
   // including lazy-expiry sweeps triggered mid-burst, which bump a structure
@@ -188,7 +198,7 @@ class FlowTable {
 
   std::size_t expire(double now);
 
-  std::size_t size(Band band) const { return bands_[index(band)].order.size(); }
+  std::size_t size(Band band) const { return bands_[index(band)].by_id.size(); }
   std::size_t total_size() const;
   std::size_t cache_capacity() const { return cache_capacity_; }
   const FlowEntry* find(RuleId id, Band band) const;
@@ -200,8 +210,11 @@ class FlowTable {
     return !entry.expired(now) && entry.rule.match.matches(packet);
   }
 
-  // Read-only view of one band in match order. Iterates the band's slot
-  // index over the entry slab; stable while the table is not mutated.
+  // Read-only view of one band in match order: a snapshot of the band's
+  // slab slots over live entries. The cache band's order is materialized
+  // (sorted) when the view is taken, so this is O(n log n) for the cache
+  // band; it is meant for dumps, audits and purges, not the packet path.
+  // Stable while the table is not mutated.
   class BandView {
    public:
     class iterator {
@@ -224,25 +237,25 @@ class FlowTable {
       const std::uint32_t* pos_;
     };
 
-    iterator begin() const { return iterator(slab_, idx_); }
-    iterator end() const { return iterator(slab_, idx_ + count_); }
-    std::size_t size() const { return count_; }
-    bool empty() const { return count_ == 0; }
-    const FlowEntry& front() const { return slab_[idx_[0]]; }
-    const FlowEntry& operator[](std::size_t i) const { return slab_[idx_[i]]; }
+    iterator begin() const { return iterator(slab_, slots_.data()); }
+    iterator end() const { return iterator(slab_, slots_.data() + slots_.size()); }
+    std::size_t size() const { return slots_.size(); }
+    bool empty() const { return slots_.empty(); }
+    const FlowEntry& front() const { return slab_[slots_.front()]; }
+    const FlowEntry& operator[](std::size_t i) const { return slab_[slots_[i]]; }
 
    private:
     friend class FlowTable;
-    BandView(const FlowEntry* slab, const std::uint32_t* idx, std::size_t count)
-        : slab_(slab), idx_(idx), count_(count) {}
+    BandView(const FlowEntry* slab, std::vector<std::uint32_t> slots)
+        : slab_(slab), slots_(std::move(slots)) {}
     const FlowEntry* slab_;
-    const std::uint32_t* idx_;
-    std::size_t count_;
+    std::vector<std::uint32_t> slots_;
   };
 
   BandView entries(Band band) const {
-    const auto& bs = bands_[index(band)];
-    return BandView(slab_.data(), bs.order.data(), bs.order.size());
+    return BandView(slab_.data(), band == Band::kCache
+                                      ? cache_order()
+                                      : bands_[index(band)].order);
   }
 
   const FlowTableStats& stats() const { return stats_; }
@@ -276,15 +289,32 @@ class FlowTable {
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
   struct BandState {
-    // Slab slots in band match order: rule_before order on insert, with
-    // same-id refreshes keeping their original position (mirroring the
-    // vector implementation this replaced).
+    // Authority/partition bands: slab slots in rule_before order. Unused for
+    // the cache band, whose order lives in the indices below.
     std::vector<std::uint32_t> order;
     std::unordered_map<RuleId, std::uint32_t> by_id;  // rule id -> slab slot
   };
 
+  // Per-slot intrusive links of a cache entry.
+  struct CacheLinks {
+    std::uint32_t exact_next = kNilSlot;  // next slot in its exact chain
+    std::uint32_t lru_prev = kNilSlot;    // recency list neighbours
+    std::uint32_t lru_next = kNilSlot;
+  };
+
   static std::size_t index(Band band) { return static_cast<std::size_t>(band); }
-  static bool full_mask(const Ternary& match);
+  // Cache entries whose care bits cover every used header bit go into the
+  // exact-match index.
+  static bool exact_indexed(const Ternary& match);
+  static BitVec exact_key(const Ternary& match) {
+    return match.value() & used_header_mask();
+  }
+  // Band order over slab slots: rule_before on the slotted rules.
+  auto by_key() const {
+    return [this](std::uint32_t a, std::uint32_t b) {
+      return rule_before(slab_[a].rule, slab_[b].rule);
+    };
+  }
 
   // Earliest instant this entry can expire (+inf when it never does).
   static double next_expiry(const FlowEntry& e);
@@ -294,16 +324,41 @@ class FlowTable {
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
 
-  // Band-order helpers: insert at the rule_before position, erase by the
-  // tracked position, and keep order_pos_ (slot -> index in its band's
-  // order) in sync after every shift.
+  // Authority/partition band order: binary-searched insert and erase.
   void order_insert(BandState& bs, std::uint32_t slot);
   void order_erase(BandState& bs, std::uint32_t slot);
-  void refresh_positions(const BandState& bs, std::size_t from);
 
-  // Cache-band accelerators (exact-match chain / wildcard scan list).
+  // Exact-match index: open addressing with linear probing from a key's
+  // hash to the head slot of the key's chain. A bucket keeps the low 32 bits
+  // of its key's hash, so probes read the slab only on a hash match and
+  // deletion (backward shift, no tombstones) never reads it. The load stays
+  // at or under one half.
+  struct ExactBucket {
+    std::uint32_t head = kNilSlot;  // kNilSlot: empty bucket
+    std::uint32_t hash = 0;
+  };
+  static std::uint32_t exact_hash(const BitVec& key);
+  // The bucket holding `key`'s chain, or the empty bucket ending its probe
+  // run. Requires a non-empty bucket array.
+  std::size_t exact_bucket(const BitVec& key, std::uint32_t hash) const;
+  void exact_erase_bucket(std::size_t hole);
+  void exact_grow();
+
+  // Cache-band indices: the exact chain or the wildcard list, chosen by
+  // exact_indexed(); and the recency list.
   void link_cache_aux(std::uint32_t slot);
   void unlink_cache_aux(std::uint32_t slot);
+  void lru_link(std::uint32_t slot);
+  void lru_unlink(std::uint32_t slot);
+  // Re-place a cache entry in the recency list after its last_hit changed.
+  // O(1) when time does not move backwards; otherwise walks back over the
+  // entries touched later than the new last_hit.
+  void lru_touch(std::uint32_t slot) {
+    lru_unlink(slot);
+    lru_link(slot);
+  }
+  // Cache-band slots in band (key) order.
+  std::vector<std::uint32_t> cache_order() const;
   void link_guards(std::uint32_t slot);
   void unlink_guards(std::uint32_t slot);
 
@@ -315,7 +370,7 @@ class FlowTable {
   }
 
   // Shared winner selection for lookup/peek: first live match in cache
-  // (exact fast path + wildcard scan), then authority, then partition.
+  // (exact chain + wildcard scan), then authority, then partition.
   const FlowEntry* find_live_match(const BitVec& packet, double now) const;
   // Head of the exact-match chain for this header, or kNilSlot. The batch
   // path memoizes this per key; resolve_live_match takes it as input so the
@@ -328,7 +383,7 @@ class FlowTable {
   const FlowEntry* finish_lookup(FlowEntry* entry, double now,
                                  std::uint64_t bytes);
 
-  void evict_lru_cache(double now);
+  void evict_lru_cache();
   void retire(const FlowEntry& entry);
   // Safety cascade: when a cache entry leaves (eviction, timeout, delete),
   // every cache entry that listed it as a guard is unsafe — without its
@@ -343,17 +398,22 @@ class FlowTable {
   std::size_t cache_capacity_;
   std::size_t hw_capacity_;  // shared budget for authority+partition bands
 
-  std::vector<FlowEntry> slab_;            // stable entry storage
-  std::vector<std::uint32_t> exact_next_;  // intrusive per-slot chain for cache_exact_
-  std::vector<std::uint32_t> order_pos_;   // slot -> index in its band's order
+  std::vector<FlowEntry> slab_;     // stable entry storage
+  std::vector<CacheLinks> links_;   // parallel to slab_
   std::vector<std::uint32_t> free_slots_;
   BandState bands_[kNumBands];
 
-  // Cache-band fast path: full-mask entries hash by their exact header value
-  // (same-value duplicates chain through exact_next_); everything else sits
-  // in a wildcard-only scan list kept in band order (sorted by order_pos_).
-  std::unordered_map<BitVec, std::uint32_t> cache_exact_;
-  std::vector<std::uint32_t> cache_wild_order_;
+  // Cache-band indices. exact_buckets_ maps value & used_header_mask() to
+  // the head of a chain of exact-indexed entries with that key (chained
+  // through links_[].exact_next, unordered); its size is 0 or a power of
+  // two. cache_wild_ holds every other cache entry in key order. The recency
+  // list runs lru_head_ (least recent) to lru_tail_, sorted by last_hit,
+  // over every cache entry.
+  std::vector<ExactBucket> exact_buckets_;
+  std::size_t exact_keys_ = 0;
+  std::vector<std::uint32_t> cache_wild_;
+  std::uint32_t lru_head_ = kNilSlot;
+  std::uint32_t lru_tail_ = kNilSlot;
 
   // Reverse guard index: guard rule id -> ids of cache entries listing it.
   std::unordered_map<RuleId, std::vector<RuleId>> dependents_;

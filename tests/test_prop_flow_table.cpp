@@ -7,9 +7,16 @@
 // sequences toward the three overhauled mechanisms: general traffic, timeout
 // streaming (lazy-expiry watermark), and LRU/cascade churn at tiny capacity.
 //
-// The reference below is the pre-overhaul implementation kept verbatim
-// (vector bands, full sweep per lookup, linear id scans, O(cache x guards)
-// guard refresh); only the class name changed.
+// The reference below is the pre-overhaul implementation (vector bands,
+// full sweep per lookup, linear id scans, O(cache x guards) guard refresh)
+// with one spec change: a same-id refresh that changes the priority moves
+// the entry to its new rule_before position instead of keeping its slot.
+//
+// Microflow installs come in both shapes the switch sees: care over every
+// header bit, and care over only the 253 bits the 12-tuple uses (what
+// microflow_pattern installs). Probe packets carry random values in the
+// three unused top bits, so an exact index that keyed on the wrong bits
+// would alias the two shapes or miss used-bits entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +24,7 @@
 #include <vector>
 
 #include "proptest/gen.hpp"
+#include "flowspace/header.hpp"
 #include "proptest/property.hpp"
 #include "switchsim/flow_table.hpp"
 
@@ -67,12 +75,18 @@ class ReferenceFlowTable {
                              : std::max(existing->idle_timeout, idle_timeout);
         }
       }
+      const bool reorder = existing->rule.priority != rule.priority;
       existing->rule = rule;
       existing->install_time = now;
       existing->idle_timeout = idle_timeout;
       existing->hard_timeout = hard_timeout;
       existing->last_hit = now;
       existing->guards = std::move(guards);
+      if (reorder) {
+        FlowEntry moved = std::move(*existing);
+        entries.erase(existing);
+        insert_ordered(entries, std::move(moved));
+      }
       ++stats_.installs;
       return true;
     }
@@ -98,11 +112,7 @@ class ReferenceFlowTable {
     entry.hard_timeout = hard_timeout;
     entry.last_hit = now;
     entry.guards = std::move(guards);
-    const auto pos = std::lower_bound(entries.begin(), entries.end(), entry,
-                                      [](const FlowEntry& a, const FlowEntry& b) {
-                                        return rule_before(a.rule, b.rule);
-                                      });
-    entries.insert(pos, std::move(entry));
+    insert_ordered(entries, std::move(entry));
     ++stats_.installs;
     return true;
   }
@@ -203,6 +213,14 @@ class ReferenceFlowTable {
 
  private:
   static std::size_t index(Band band) { return static_cast<std::size_t>(band); }
+
+  static void insert_ordered(std::vector<FlowEntry>& entries, FlowEntry entry) {
+    const auto pos = std::lower_bound(entries.begin(), entries.end(), entry,
+                                      [](const FlowEntry& a, const FlowEntry& b) {
+                                        return rule_before(a.rule, b.rule);
+                                      });
+    entries.insert(pos, std::move(entry));
+  }
 
   void retire(const FlowEntry& entry) {
     if (entry.band == Band::kPartition) return;
@@ -310,6 +328,13 @@ std::string diff_tables(const FlowTable& t, const ReferenceFlowTable& r) {
   return os.str();
 }
 
+// Randomize the three header bits above the 12-tuple.
+BitVec with_random_top_bits(Rng& rng, BitVec packet) {
+  const std::size_t used = header_bits_used();
+  packet.set_bits(used, kHeaderBits - used, rng.uniform(0, 7));
+  return packet;
+}
+
 struct MixParams {
   double p_timeout = 0.3;    // installs carrying idle/hard timeouts
   double p_guards = 0.3;     // cache installs carrying guard lists
@@ -333,6 +358,7 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
   ReferenceFlowTable ref(cache_cap, hw_cap);
   double now = 0.0;
   RuleId next_id = 1000;  // microflow ids; policy rules keep their own
+  std::vector<BitVec> flows;  // headers microflows were installed for
 
   for (std::size_t op = 0; op < mix.ops; ++op) {
     now += ctx.rng.exponential(4.0);  // mean 0.25s per step
@@ -352,14 +378,18 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
         band = where < 6 ? Band::kCache
                          : (where < 8 ? Band::kAuthority : Band::kPartition);
       } else {
-        // Microflow: full-mask rule on a boundary-biased packet. Reusing a
-        // small id space exercises the same-id refresh path.
+        // Microflow on a boundary-biased packet, caring about every header
+        // bit or only the used ones. Reusing a small id space exercises the
+        // same-id refresh path (including priority changes).
         rule.id = ctx.rng.bernoulli(0.5)
                       ? next_id++
                       : 1000 + static_cast<RuleId>(ctx.rng.uniform(0, 40));
         rule.priority = static_cast<Priority>(ctx.rng.uniform(0, 5));
-        rule.match = Ternary(proptest::gen_boundary_packet(ctx.rng, rules),
-                             BitVec::ones());
+        flows.push_back(with_random_top_bits(
+            ctx.rng, proptest::gen_boundary_packet(ctx.rng, rules)));
+        rule.match = Ternary(flows.back(), ctx.rng.bernoulli(0.5)
+                                               ? BitVec::ones()
+                                               : used_header_mask());
         rule.action = Action::forward(static_cast<std::uint32_t>(ctx.rng.uniform(0, 3)));
       }
       const double idle =
@@ -380,7 +410,12 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
       const bool b = ref.install(rule, band, now, idle, hard, guards);
       ASSERT_EQ(a, b) << report("install");
     } else if (kind < 65) {  // lookup, with peek agreement first
-      const BitVec pkt = proptest::gen_boundary_packet(ctx.rng, rules);
+      // Half the probes revisit a microflow's header (its top bits
+      // re-drawn), so exact-index hits and aliasing are exercised often.
+      const BitVec pkt = with_random_top_bits(
+          ctx.rng, !flows.empty() && ctx.rng.bernoulli(0.5)
+                       ? flows[ctx.rng.uniform(0, flows.size() - 1)]
+                       : proptest::gen_boundary_packet(ctx.rng, rules));
       const FlowEntry* pa = table.peek(pkt, now);
       const FlowEntry* pb = ref.peek(pkt, now);
       ASSERT_EQ(pa == nullptr, pb == nullptr) << report("peek");
@@ -450,6 +485,63 @@ DIFANE_PROPERTY(FlowTableLruCascadeMatchesEagerReference, 120) {
   mix.cache_cap_min = 2;
   mix.cache_cap_max = 8;
   drive(ctx, mix);
+}
+
+// A full-mask entry and a used-bits entry that agree on the 253 used bits
+// share one exact-index key but must not alias: each matches only the
+// packets its own care bits admit, and the key order picks between them
+// when both match.
+TEST(FlowTableExactKey, FullMaskAndUsedBitsEntriesDoNotAlias) {
+  const std::size_t used = header_bits_used();
+  BitVec low;
+  low.set_bits(0, 64, 0x0123456789abcdefULL);
+  low.set_bits(100, 32, 0xc0a80001u);
+  BitVec top5 = low;
+  top5.set_bits(used, kHeaderBits - used, 5);
+
+  Rule full;  // cares about bits 253-255 too, and wants them to be 101
+  full.id = 1;
+  full.priority = 10;
+  full.match = Ternary(top5, BitVec::ones());
+  full.action = Action::forward(1);
+  Rule used_bits;  // any top bits
+  used_bits.id = 2;
+  used_bits.priority = 5;
+  used_bits.match = Ternary(low, used_header_mask());
+  used_bits.action = Action::forward(2);
+
+  FlowTable table(16);
+  ReferenceFlowTable ref(16);
+  for (const Rule* r : {&full, &used_bits}) {
+    ASSERT_TRUE(table.install(*r, Band::kCache, 0.0));
+    ASSERT_TRUE(ref.install(*r, Band::kCache, 0.0));
+  }
+  double now = 1.0;
+  for (std::uint64_t top = 0; top < 8; ++top) {
+    BitVec pkt = low;
+    pkt.set_bits(used, kHeaderBits - used, top);
+    const FlowEntry* got = table.lookup(pkt, now);
+    const FlowEntry* want = ref.lookup(pkt, now);
+    ASSERT_NE(got, nullptr);
+    ASSERT_NE(want, nullptr);
+    EXPECT_EQ(got->rule.id, want->rule.id) << "top bits " << top;
+    EXPECT_EQ(got->rule.id, top == 5 ? full.id : used_bits.id) << "top bits " << top;
+    now += 1.0;
+  }
+  // Neither entry matches a packet that differs on a used bit.
+  BitVec other = top5;
+  other.set(7, !other.get(7));
+  EXPECT_EQ(table.peek(other, now), nullptr);
+  EXPECT_EQ(diff_tables(table, ref), "");
+
+  // Raising the used-bits entry above the full-mask one flips the winner on
+  // the shared packet: a refresh with a new priority re-positions.
+  used_bits.priority = 20;
+  ASSERT_TRUE(table.install(used_bits, Band::kCache, now));
+  ASSERT_TRUE(ref.install(used_bits, Band::kCache, now));
+  ASSERT_EQ(table.lookup(top5, now)->rule.id, used_bits.id);
+  ASSERT_EQ(ref.lookup(top5, now)->rule.id, used_bits.id);
+  EXPECT_EQ(diff_tables(table, ref), "");
 }
 
 }  // namespace

@@ -128,6 +128,13 @@ int main(int argc, char** argv) {
                     wall ? " [wall]" : "", over ? " VIOLATION" : "");
       }
     }
+    for (const auto& [name, value] : cand_report.metrics) {
+      (void)value;
+      if (!base_report.metrics.count(name)) {
+        std::printf("  [%s] %s new in candidate (not gated)\n", id.c_str(),
+                    name.c_str());
+      }
+    }
   }
   for (const auto& [id, report] : cand.experiments) {
     (void)report;

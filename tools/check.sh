@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: the tier-1 build+test pass, then the same suite
-# plus a short differential fuzz soak under ASan+UBSan (DIFANE_SANITIZE=ON),
+# (minus the wall-clock `perf` label) plus a short differential fuzz soak
+# under ASan+UBSan (DIFANE_SANITIZE=ON),
 # plus a TSan pass (DIFANE_SANITIZE=thread) over the unit and chaos labels —
 # the sharded parallel engine makes race coverage part of tier-1 hygiene.
 #
@@ -85,6 +86,13 @@ ctest --test-dir build --output-on-failure -L chaos -j "$jobs"
 echo "== property: ctest -L property =="
 ctest --test-dir build --output-on-failure -L property -j "$jobs"
 
+# Scaling-exponent checks (wall-clock ratios between a small and a large
+# table). They ran in the full pass above; the labelled re-run, one test at
+# a time, names a complexity regression. Sanitized builds skip them: a ratio
+# of walls measured under ASan/UBSan says nothing about the real build.
+echo "== scaling: ctest -L perf =="
+ctest --test-dir build --output-on-failure -L perf
+
 if [[ "$quick_bench" == 1 ]]; then
   echo "== quick-bench: bench_all --quick + determinism gate =="
   ./build/tools/bench_all --quick --jobs "$jobs" \
@@ -148,7 +156,7 @@ echo "== sanitized: ASan+UBSan build + ctest + ${fuzz_seconds}s fuzz =="
 cmake -B build-san -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDIFANE_SANITIZE=ON
 cmake --build build-san -j "$jobs"
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
-  ctest --test-dir build-san --output-on-failure -j "$jobs"
+  ctest --test-dir build-san --output-on-failure -LE perf -j "$jobs"
 echo "== chaos (sanitized): ctest -L chaos =="
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-san --output-on-failure -L chaos -j "$jobs"
