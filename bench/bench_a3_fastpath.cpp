@@ -191,47 +191,6 @@ int main(int argc, char** argv) {
                      TextTable::integer(static_cast<long long>(lookups)),
                      TextTable::num(1e9 * wall_miss / static_cast<double>(lookups), 1),
                      TextTable::integer(static_cast<long long>(allocs_miss))});
-
-      // -- Burst lookups over the same table and header sequence: chunks of
-      // 32 through lookup_batch (hash every key + prefetch its slab entry,
-      // then resolve), prefetch on and off. Byte-identical semantics to the
-      // scalar hit mix, so the checksum must equal lookup_hit_checksum —
-      // exported as a deterministic pass/fail metric the baseline gates on.
-      for (const bool prefetch : {true, false}) {
-        const BitVec* keys[32];
-        const FlowEntry* out[32];
-        double nows[32];
-        std::uint64_t burst_checksum = 0;
-        for (std::size_t k = 0; k < 32; ++k) nows[k] = 1.0;
-        const std::uint64_t c0 = g_allocs;
-        const auto t2 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < lookups; i += 32) {
-          for (std::size_t k = 0; k < 32; ++k) {
-            keys[k] = &headers[(i + k) % headers.size()];
-          }
-          ft.lookup_batch(keys, nows, nullptr, 32, out, prefetch);
-          for (std::size_t k = 0; k < 32; ++k) {
-            if (out[k] != nullptr) burst_checksum += out[k]->rule.id;
-          }
-        }
-        const double wall_burst = seconds_since(t2);
-        const std::uint64_t allocs_burst = g_allocs - c0;
-        const std::string key =
-            prefetch ? "lookup_hit_burst32" : "lookup_hit_burst32_noprefetch";
-        rep.set(key + "_steady_allocs", static_cast<double>(allocs_burst));
-        rep.set(key + "_matches_scalar",
-                burst_checksum % 1000000007ULL == checksum % 1000000007ULL
-                    ? 1.0
-                    : 0.0);
-        rep.set(key + "_wall_ns_per_op",
-                1e9 * wall_burst / static_cast<double>(lookups));
-        table.add_row({prefetch ? "cache hit, burst=32"
-                                : "cache hit, burst=32 no-prefetch",
-                       TextTable::integer(static_cast<long long>(lookups)),
-                       TextTable::num(
-                           1e9 * wall_burst / static_cast<double>(lookups), 1),
-                       TextTable::integer(static_cast<long long>(allocs_burst))});
-      }
     }
 
     // -- Flow-table hit mix in the production key shape: microflow entries
@@ -271,71 +230,6 @@ int main(int argc, char** argv) {
                      TextTable::integer(static_cast<long long>(lookups)),
                      TextTable::num(1e9 * wall / static_cast<double>(lookups), 1),
                      "-"});
-    }
-
-    // -- Prefetch-depth sweep (ScenarioParams::prefetch_depth): a table
-    // whose hot keys carry duplicate exact-match entries, so each key's
-    // chain is kChainLen long and the resolve pass touches more than the
-    // head. Depth 1 (the default) prefetches only the head; deeper settings
-    // pull the rest of the chain. Results must equal the scalar walk at
-    // every depth — the hint can only move wall time, and on single-core
-    // hosts the differences are small; the row exists so multi-core hosts
-    // can tune the knob against their own cache hierarchy.
-    {
-      const std::size_t kChainLen = 3;
-      const std::size_t chain_headers = args.pick<std::size_t>(20000, 5000);
-      const std::size_t chain_lookups = args.pick<std::size_t>(1000000, 200000);
-      rep.report.params["chain_len"] = obs::Json(kChainLen);
-      rep.report.params["chain_headers"] = obs::Json(chain_headers);
-      FlowTable ft(/*cache_capacity=*/kChainLen * chain_headers + 16);
-      std::vector<BitVec> headers;
-      headers.reserve(chain_headers);
-      for (std::size_t i = 0; i < chain_headers; ++i) {
-        headers.push_back(Ternary::wildcard().sample_point(rng));
-        for (std::size_t dup = 0; dup < kChainLen; ++dup) {
-          ft.install(microflow_rule(
-                         static_cast<RuleId>(3000000 + dup * chain_headers + i),
-                         headers.back()),
-                     Band::kCache, 0.0);
-        }
-      }
-      std::uint64_t scalar_checksum = 0;
-      for (std::size_t i = 0; i < chain_lookups; ++i) {
-        const FlowEntry* e = ft.lookup(headers[i % headers.size()], 1.0);
-        if (e != nullptr) scalar_checksum += e->rule.id;
-      }
-      for (const std::uint32_t depth : {1u, 2u, 4u, 8u}) {
-        ft.set_prefetch_depth(depth);
-        const BitVec* keys[32];
-        const FlowEntry* out[32];
-        double nows[32];
-        for (std::size_t k = 0; k < 32; ++k) nows[k] = 1.0;
-        std::uint64_t checksum = 0;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < chain_lookups; i += 32) {
-          for (std::size_t k = 0; k < 32; ++k) {
-            keys[k] = &headers[(i + k) % headers.size()];
-          }
-          ft.lookup_batch(keys, nows, nullptr, 32, out, true);
-          for (std::size_t k = 0; k < 32; ++k) {
-            if (out[k] != nullptr) checksum += out[k]->rule.id;
-          }
-        }
-        const double wall = seconds_since(t0);
-        const std::string key = tag("lookup_chain_depth", depth);
-        rep.set(key + "_matches_scalar",
-                checksum % 1000000007ULL == scalar_checksum % 1000000007ULL
-                    ? 1.0
-                    : 0.0);
-        rep.set(key + "_wall_ns_per_op",
-                1e9 * wall / static_cast<double>(chain_lookups));
-        table.add_row({"chain=3, prefetch depth=" + std::to_string(depth),
-                       TextTable::integer(static_cast<long long>(chain_lookups)),
-                       TextTable::num(
-                           1e9 * wall / static_cast<double>(chain_lookups), 1),
-                       "-"});
-      }
-      ft.set_prefetch_depth(1);
     }
 
     // -- Expiry churn: entries with idle timeouts stream-expire as installs

@@ -1,9 +1,8 @@
 // E11 — scale-out stress tier. Not a paper figure: this tier exists to prove
 // the engine holds production-scale state — ≥10M installed rules and ≥1M
 // concurrent flows in flight — on the sharded executor with work stealing,
-// worker pinning, burst-mode lookups, and deep prefetch all enabled at once,
-// and to track what that costs (RSS high-water, wall time) across the
-// trajectory.
+// worker pinning and the burst data plane all enabled at once, and to track
+// what that costs (RSS high-water, wall time) across the trajectory.
 //
 // Metric conventions:
 //   * Deterministic (gated byte-identical by bench_compare): rule counts,
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
     params.threads = 4;
     params.steal = true;
     params.pin_workers = true;
-    params.prefetch_depth = 4;
     params.burst = args.burst > 0 ? static_cast<std::size_t>(args.burst) : 32;
     rep.report.params["rules_target"] = obs::Json(rules_target);
     rep.report.params["concurrent_target"] = obs::Json(concurrent_target);

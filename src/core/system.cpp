@@ -207,19 +207,6 @@ void validate_execution(const ScenarioParams& p) {
                           "-slot outbox ring holds; raise "
                           "shard_ring_capacity or shrink burst");
   }
-  if (p.prefetch_depth == 0) {
-    throw ConfigError("prefetch_depth",
-                      "depth counts exact-match chain entries prefetched per "
-                      "key and must be >= 1 (the batch pass itself is "
-                      "enabled by burst > 0, not by this knob)");
-  }
-  if (p.prefetch_depth > FlowTable::kMaxBatch) {
-    throw ConfigError("prefetch_depth",
-                      "a depth of " + std::to_string(p.prefetch_depth) +
-                          " would chase duplicate chains past any plausible "
-                          "cache benefit; the supported range is 1.." +
-                          std::to_string(FlowTable::kMaxBatch));
-  }
 }
 
 void validate_reliability(const ScenarioParams& p) {
@@ -341,13 +328,6 @@ Scenario::Scenario(RuleTable policy, ScenarioParams params)
       }
       break;
     }
-  }
-  // Batch prefetch depth is a per-table hardware hint (it matters only when
-  // the burst data plane's lookup_prefetch pass runs, and never changes
-  // results). Applied to every switch up front, before any rules land.
-  for (SwitchId id = 0; id < net_.switch_count(); ++id) {
-    net_.sw(id).table().set_prefetch_depth(
-        static_cast<std::uint32_t>(params_.prefetch_depth));
   }
   switch (params_.mode) {
     case Mode::kDifane: {
@@ -687,61 +667,13 @@ void Scenario::merge_shard_stats() {
 
 void ScenarioStats::merge_from(const ScenarioStats& other) {
   tracer.merge_from(other.tracer);
-  ingress_cache_hits += other.ingress_cache_hits;
-  ingress_local_hits += other.ingress_local_hits;
-  redirects += other.redirects;
-  queue_rejects += other.queue_rejects;
-  cache_installs += other.cache_installs;
-  cache_rules_installed += other.cache_rules_installed;
-  cache_hit_mismatches += other.cache_hit_mismatches;
-  elephant_promotions += other.elephant_promotions;
-  elephant_installs += other.elephant_installs;
-  elephant_proactive += other.elephant_proactive;
-  mice_bypassed += other.mice_bypassed;
-  cache_entries_final += other.cache_entries_final;
   stretch.merge_from(other.stretch);
   setup_completions.merge_from(other.setup_completions);
-  ctrl_transmissions += other.ctrl_transmissions;
-  ctrl_retransmits += other.ctrl_retransmits;
-  ctrl_acks += other.ctrl_acks;
-  ctrl_dup_requests += other.ctrl_dup_requests;
-  ctrl_reordered += other.ctrl_reordered;
-  msgs_lost += other.msgs_lost;
-  msgs_duplicated += other.msgs_duplicated;
-  msgs_jittered += other.msgs_jittered;
-  install_faults += other.install_faults;
-  guard_rejects += other.guard_rejects;
-  heartbeats_heard += other.heartbeats_heard;
-  heartbeats_missed += other.heartbeats_missed;
-  failovers_detected += other.failovers_detected;
-  recoveries_detected += other.recoveries_detected;
-  spurious_failovers += other.spurious_failovers;
-  link_flaps += other.link_flaps;
-  authority_crashes += other.authority_crashes;
-  authority_restarts += other.authority_restarts;
-  telemetry_sampled_packets += other.telemetry_sampled_packets;
-  telemetry_sampled_bytes += other.telemetry_sampled_bytes;
-  telemetry_records += other.telemetry_records;
-  telemetry_dropped_records += other.telemetry_dropped_records;
-  telemetry_dropped_packets += other.telemetry_dropped_packets;
-  telemetry_overflow_drops += other.telemetry_overflow_drops;
-  export_batches += other.export_batches;
-  export_records += other.export_records;
-  export_keepalives += other.export_keepalives;
-  export_evict_records += other.export_evict_records;
-  export_final_records += other.export_final_records;
-  export_transmissions += other.export_transmissions;
-  export_retransmits += other.export_retransmits;
-  export_piggyback_fresh += other.export_piggyback_fresh;
-  export_piggyback_stale += other.export_piggyback_stale;
-  migrations_started += other.migrations_started;
-  migrations_completed += other.migrations_completed;
-  migrations_aborted += other.migrations_aborted;
-  migration_rules_moved += other.migration_rules_moved;
-  // Peaks are maxima: shard-local double-occupancy never exceeds the global
-  // peak, and the migration machinery only runs in global events anyway.
-  migration_double_peak = std::max(migration_double_peak, other.migration_double_peak);
-  migration_inflight_redirects += other.migration_inflight_redirects;
+#define DIFANE_MERGE_COUNTER(name, policy)                          \
+  name = Merge::policy == Merge::kMax ? std::max(name, other.name) \
+                                      : name + other.name;
+  DIFANE_SCENARIO_COUNTERS(DIFANE_MERGE_COUNTER)
+#undef DIFANE_MERGE_COUNTER
 }
 
 void Scenario::schedule_faults() {
@@ -840,77 +772,20 @@ obs::MetricsReport ScenarioStats::snapshot(const std::string& experiment) const 
     report.set("later_delay_p50_s", later.percentile(0.50));
     report.set("later_delay_p99_s", later.percentile(0.99));
   }
-  // Control-plane / caching behaviour.
-  report.set("ingress_cache_hits", static_cast<double>(ingress_cache_hits));
-  report.set("ingress_local_hits", static_cast<double>(ingress_local_hits));
-  report.set("redirects", static_cast<double>(redirects));
-  report.set("queue_rejects", static_cast<double>(queue_rejects));
-  report.set("cache_installs", static_cast<double>(cache_installs));
-  report.set("cache_rules_installed", static_cast<double>(cache_rules_installed));
-  report.set("cache_hit_mismatches", static_cast<double>(cache_hit_mismatches));
   report.set("cache_hit_fraction", cache_hit_fraction());
-  report.set("elephant_promotions", static_cast<double>(elephant_promotions));
-  report.set("elephant_installs", static_cast<double>(elephant_installs));
-  report.set("elephant_proactive", static_cast<double>(elephant_proactive));
-  report.set("mice_bypassed", static_cast<double>(mice_bypassed));
-  report.set("cache_entries_final", static_cast<double>(cache_entries_final));
   if (stretch.count() > 0) {
     report.set("stretch_p50", stretch.percentile(0.50));
     report.set("stretch_p99", stretch.percentile(0.99));
   }
   report.set("setup_completions", static_cast<double>(setup_completions.total()));
   report.set("setup_rate_per_s", setup_completions.rate());
-  // Fault / robustness counters (all zero on a fault-free legacy-channel
-  // run; emitted unconditionally so the report schema is run-independent).
-  report.set("ctrl_transmissions", static_cast<double>(ctrl_transmissions));
-  report.set("ctrl_retransmits", static_cast<double>(ctrl_retransmits));
-  report.set("ctrl_acks", static_cast<double>(ctrl_acks));
-  report.set("ctrl_dup_requests", static_cast<double>(ctrl_dup_requests));
-  report.set("ctrl_reordered", static_cast<double>(ctrl_reordered));
-  report.set("msgs_lost", static_cast<double>(msgs_lost));
-  report.set("msgs_duplicated", static_cast<double>(msgs_duplicated));
-  report.set("msgs_jittered", static_cast<double>(msgs_jittered));
-  report.set("install_faults", static_cast<double>(install_faults));
-  report.set("guard_rejects", static_cast<double>(guard_rejects));
-  report.set("heartbeats_heard", static_cast<double>(heartbeats_heard));
-  report.set("heartbeats_missed", static_cast<double>(heartbeats_missed));
-  report.set("failovers_detected", static_cast<double>(failovers_detected));
-  report.set("recoveries_detected", static_cast<double>(recoveries_detected));
-  report.set("spurious_failovers", static_cast<double>(spurious_failovers));
-  report.set("link_flaps", static_cast<double>(link_flaps));
-  report.set("authority_crashes", static_cast<double>(authority_crashes));
-  report.set("authority_restarts", static_cast<double>(authority_restarts));
-  // Telemetry data plane (all zero with measurement off).
-  report.set("telemetry_sampled_packets",
-             static_cast<double>(telemetry_sampled_packets));
-  report.set("telemetry_sampled_bytes",
-             static_cast<double>(telemetry_sampled_bytes));
-  report.set("telemetry_records", static_cast<double>(telemetry_records));
-  report.set("telemetry_dropped_records",
-             static_cast<double>(telemetry_dropped_records));
-  report.set("telemetry_dropped_packets",
-             static_cast<double>(telemetry_dropped_packets));
-  report.set("telemetry_overflow_drops",
-             static_cast<double>(telemetry_overflow_drops));
-  report.set("export_batches", static_cast<double>(export_batches));
-  report.set("export_records", static_cast<double>(export_records));
-  report.set("export_keepalives", static_cast<double>(export_keepalives));
-  report.set("export_evict_records", static_cast<double>(export_evict_records));
-  report.set("export_final_records", static_cast<double>(export_final_records));
-  report.set("export_transmissions", static_cast<double>(export_transmissions));
-  report.set("export_retransmits", static_cast<double>(export_retransmits));
-  report.set("export_piggyback_fresh",
-             static_cast<double>(export_piggyback_fresh));
-  report.set("export_piggyback_stale",
-             static_cast<double>(export_piggyback_stale));
-  // Live partition migration (all zero with migration off).
-  report.set("migrations_started", static_cast<double>(migrations_started));
-  report.set("migrations_completed", static_cast<double>(migrations_completed));
-  report.set("migrations_aborted", static_cast<double>(migrations_aborted));
-  report.set("migration_rules_moved", static_cast<double>(migration_rules_moved));
-  report.set("migration_double_peak", static_cast<double>(migration_double_peak));
-  report.set("migration_inflight_redirects",
-             static_cast<double>(migration_inflight_redirects));
+  // Every counter, emitted unconditionally so the report schema is
+  // run-independent (fault, telemetry and migration counters read zero
+  // when their subsystem is off).
+#define DIFANE_REPORT_COUNTER(name, policy) \
+  report.set(#name, static_cast<double>(name));
+  DIFANE_SCENARIO_COUNTERS(DIFANE_REPORT_COUNTER)
+#undef DIFANE_REPORT_COUNTER
   return report;
 }
 
@@ -1041,7 +916,6 @@ void Scenario::inject(const FlowSpec& flow) {
 void Scenario::inject_bursts(const std::vector<FlowSpec>& flows) {
   burst_plan_ = coalesce_bursts(
       flows, static_cast<std::uint32_t>(topo_.edge.size()), params_.burst);
-  burst_resume_.assign(burst_plan_.groups.size(), BurstResume{});
   for (const auto& b : burst_plan_.bursts) {
     const SwitchId ingress = topo_.edge[b.group];
     const double when = burst_plan_.groups[b.group][b.begin].at;
@@ -1060,58 +934,32 @@ void Scenario::inject_bursts(const std::vector<FlowSpec>& flows) {
 //    the FIFO tie-break, exactly like the inject-time event it replaces);
 //  * an arrival at or past the engine's horizon belongs to a later window
 //    (run_before would not have popped its per-packet event).
-// Either way the remainder reschedules at the next arrival's own time, and
-// the continuation picks its chunk's memoized batch state back up from
-// burst_resume_ — the hash/prefetch pass is per chunk, not per deferral, so
-// a redirect storm that defers after every packet still pays batch cost
-// once per kMaxBatch packets. The shard's peek_time() sequence — which
-// sizes conservative windows — also matches the scalar run's, and batch
-// memoization is invisible to it (lookup_prefetch never mutates).
+// Either way the remainder reschedules at the next arrival's own time, so
+// the shard's peek_time() sequence — which sizes conservative windows —
+// also matches the scalar run's.
 void Scenario::process_burst(std::uint32_t group, std::uint32_t begin,
                              std::uint32_t end) {
   const auto& arrivals = burst_plan_.groups[group];
   const SwitchId at = topo_.edge[group];
-  BurstResume& resume = burst_resume_[group];
-  std::uint32_t i = begin;
-  while (i < end) {
-    // Chunk of up to kMaxBatch arrivals: memoize exact-match heads and
-    // prefetch their slab entries before resolving any of them. A resumed
-    // continuation lands inside the stored chunk and skips straight to the
-    // resolve loop; stale memoized heads (the table mutated since pass 1)
-    // are recomputed per key by lookup_prepared's generation check.
-    if (!(resume.chunk_begin <= i && i < resume.chunk_end)) {
-      resume.chunk_begin = i;
-      resume.chunk_end = std::min<std::uint32_t>(end, i + FlowTable::kMaxBatch);
-      const FlowTable& table = net_.sw(at).table();
-      const BitVec* keys[FlowTable::kMaxBatch];
-      for (std::uint32_t k = i; k < resume.chunk_end; ++k) {
-        keys[k - i] = &arrivals[k].header;
-      }
-      table.lookup_prefetch(keys, resume.chunk_end - i, resume.batch);
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const auto& a = arrivals[k];
+    Engine& eng = cur_engine();
+    if (eng.peek_time() < a.at || a.at >= eng.horizon()) {
+      auto cont = [this, group, k, end]() { process_burst(group, k, end); };
+      static_assert(Engine::Handler::fits_inline<decltype(cont)>,
+                    "burst continuation must not allocate");
+      schedule_at_switch(at, a.at, std::move(cont));
+      return;
     }
-    const std::uint32_t chunk_begin = resume.chunk_begin;
-    const std::uint32_t chunk_end = resume.chunk_end;
-    for (std::uint32_t k = i; k < chunk_end; ++k) {
-      const auto& a = arrivals[k];
-      Engine& eng = cur_engine();
-      if (eng.peek_time() < a.at || a.at >= eng.horizon()) {
-        auto cont = [this, group, k, end]() { process_burst(group, k, end); };
-        static_assert(Engine::Handler::fits_inline<decltype(cont)>,
-                      "burst continuation must not allocate");
-        schedule_at_switch(at, a.at, std::move(cont));
-        return;
-      }
-      eng.advance_to(a.at);
-      Packet pkt;
-      pkt.flow = a.flow;
-      pkt.header = a.header;
-      pkt.created = a.at;
-      pkt.ingress = at;
-      pkt.is_first_of_flow = a.first;
-      st().tracer.on_injected(pkt);
-      process_injected(at, pkt, resume.batch, k - chunk_begin);
-    }
-    i = chunk_end;
+    eng.advance_to(a.at);
+    Packet pkt;
+    pkt.flow = a.flow;
+    pkt.header = a.header;
+    pkt.created = a.at;
+    pkt.ingress = at;
+    pkt.is_first_of_flow = a.first;
+    st().tracer.on_injected(pkt);
+    process(at, pkt);
   }
 }
 
@@ -1157,30 +1005,6 @@ void Scenario::process(SwitchId at, Packet pkt) {
   }
   const double now = cur_engine().now();
   const FlowEntry* entry = sw.table().lookup(pkt.header, now, pkt.bytes);
-  process_lookup_result(at, pkt, entry, now);
-}
-
-// process() for a freshly injected packet whose exact-match chain head was
-// memoized (and prefetched) by FlowTable::lookup_prefetch. Injected packets
-// carry no encap/tunnel state, so the transit branches of process() cannot
-// apply; everything else is the scalar path verbatim.
-void Scenario::process_injected(SwitchId at, const Packet& pkt,
-                                const FlowTable::BatchState& batch,
-                                std::size_t slot) {
-  obs_packets_->inc();
-  Switch& sw = net_.sw(at);
-  if (sw.failed()) {
-    dispose(pkt, false, DropReason::kSwitchFailed);
-    return;
-  }
-  const double now = cur_engine().now();
-  const FlowEntry* entry =
-      sw.table().lookup_prepared(pkt.header, slot, batch, now, pkt.bytes);
-  process_lookup_result(at, pkt, entry, now);
-}
-
-void Scenario::process_lookup_result(SwitchId at, Packet pkt,
-                                     const FlowEntry* entry, double now) {
   if (entry == nullptr) {
     if (params_.mode == Mode::kNox && at == pkt.ingress) {
       punt_to_controller(pkt);

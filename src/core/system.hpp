@@ -173,11 +173,11 @@ struct ScenarioParams {
   // Burst-mode data plane (NDN-DPDK shape). 0 (the default) schedules one
   // engine event per injected packet — the classic scalar path. N > 0
   // coalesces up to N consecutive same-ingress packet arrivals into one
-  // burst event whose handler batch-resolves FlowTable lookups (hash +
-  // software prefetch over the entry slab first, then per-packet resolve at
-  // each packet's own advanced clock). Observable behavior — stats,
+  // burst event whose handler runs the scalar per-packet path for each of
+  // them at the packet's own advanced clock, so the engine heap holds one
+  // event per burst instead of one per packet. Observable behavior — stats,
   // telemetry export stream, verifier state, Rng draw order — is
-  // byte-identical to the scalar path; test_prop_burst replays 100 seeds
+  // byte-identical to the scalar path; test_prop_burst replays 110 seeds
   // against exactly that contract. Typical sweet spot: 32–64.
   std::size_t burst = 0;
 
@@ -203,16 +203,6 @@ struct ScenarioParams {
   // single-node host (like the CI container) it changes nothing at all.
   bool pin_workers = false;
 
-  // Burst data plane only (burst > 0): how many entries of a key's
-  // exact-match duplicate chain the batch prefetch pass pulls toward the
-  // cache before the resolve pass runs. 1 (the default) prefetches each
-  // chain head — the original behavior; deeper values help tables where
-  // hot keys carry refreshed/expired duplicates, at the cost of cache
-  // pollution when chains are short. A pure hardware hint: results are
-  // byte-identical at any depth (test_prop_burst randomizes it). Range
-  // 1..FlowTable::kMaxBatch, validated.
-  std::size_t prefetch_depth = 1;
-
   // Reject mis-wired parameter combinations before any topology or control
   // plane is built. Throws difane::ConfigError naming the offending field.
   // The Scenario constructor calls this; call it yourself to fail fast when
@@ -220,80 +210,92 @@ struct ScenarioParams {
   void validate() const;
 };
 
+// Every plain counter of ScenarioStats, listed once: X(name, policy) declares
+// the std::uint64_t field `name`, folds it in merge_from by its merge
+// policy (kSum, or kMax for peaks), and emits it as snapshot key "name".
+// A counter added here is declared, merged and reported together.
+#define DIFANE_SCENARIO_COUNTERS(X)                                         \
+  X(ingress_cache_hits, kSum)   /* first lookup hit the cache band */       \
+  X(ingress_local_hits, kSum)   /* ingress itself was the authority */      \
+  X(redirects, kSum)            /* packets sent via an authority switch */  \
+  X(queue_rejects, kSum)        /* authority/controller overload drops */   \
+  X(cache_installs, kSum)       /* install messages sent to ingresses */    \
+  X(cache_rules_installed, kSum)                                            \
+  X(cache_hit_mismatches, kSum) /* verify_cache_hits violations */          \
+  /* Elephant-aware install policy (all zero with the policy off). */       \
+  X(elephant_promotions, kSum)  /* flows that crossed the threshold */      \
+  X(elephant_installs, kSum)    /* installs sent with the long timeout */   \
+  X(elephant_proactive, kSum)   /* promotion-time pre-seeds of other edges */ \
+  X(mice_bypassed, kSum)        /* installs skipped by mice bypass */       \
+  /* Live (unexpired) cache-band entries across the edge at the end of */   \
+  /* run(): the TCAM footprint the run leaves behind. */                    \
+  X(cache_entries_final, kSum)                                              \
+  /* Fault / robustness accounting, aggregated from the channels, the */    \
+  /* fault injector and the heartbeat monitor at the end of a run. All */   \
+  /* zero when the run was fault-free with legacy channels. */              \
+  X(ctrl_transmissions, kSum)   /* channel transmissions incl. rexmit */    \
+  X(ctrl_retransmits, kSum)                                                 \
+  X(ctrl_acks, kSum)                                                        \
+  X(ctrl_dup_requests, kSum)    /* duplicates the receivers suppressed */   \
+  X(ctrl_reordered, kSum)       /* arrivals buffered for in-order apply */  \
+  X(msgs_lost, kSum)            /* transmissions the injector dropped */    \
+  X(msgs_duplicated, kSum)                                                  \
+  X(msgs_jittered, kSum)                                                    \
+  X(install_faults, kSum)       /* FlowMod applies failed by injection */   \
+  X(guard_rejects, kSum)        /* strict-guard install rejections */       \
+  X(heartbeats_heard, kSum)                                                 \
+  X(heartbeats_missed, kSum)                                                \
+  X(failovers_detected, kSum)   /* heartbeat failure declarations */        \
+  X(recoveries_detected, kSum)                                              \
+  X(spurious_failovers, kSum)   /* failovers declared for live switches */  \
+  X(link_flaps, kSum)           /* link-down events executed */             \
+  X(authority_crashes, kSum)                                                \
+  X(authority_restarts, kSum)                                               \
+  /* Telemetry data plane (all zero with measurement off). Switch side: */  \
+  /* sampler and record-table accounting summed over every exporter. */     \
+  /* Export side: what reached the collector, and the channel/piggyback */  \
+  /* activity the export path generated (kept apart from ctrl_* so */       \
+  /* install-channel and export-channel behaviour stay separate). */        \
+  X(telemetry_sampled_packets, kSum)                                        \
+  X(telemetry_sampled_bytes, kSum)                                          \
+  X(telemetry_records, kSum)    /* distinct flow records created */         \
+  X(telemetry_dropped_records, kSum)                                        \
+  X(telemetry_dropped_packets, kSum)                                        \
+  X(telemetry_overflow_drops, kSum)                                         \
+  X(export_batches, kSum)       /* batches the collector received */        \
+  X(export_records, kSum)                                                   \
+  X(export_keepalives, kSum)    /* empty (liveness-only) batches */         \
+  X(export_evict_records, kSum) /* eviction-flush closures */               \
+  X(export_final_records, kSum) /* end-of-run drain records */              \
+  X(export_transmissions, kSum) /* export-channel sends incl. rexmit */     \
+  X(export_retransmits, kSum)                                               \
+  X(export_piggyback_fresh, kSum) /* batches accepted as liveness */        \
+  X(export_piggyback_stale, kSum)                                           \
+  /* Live partition migration (all zero with migration off). started */     \
+  /* counts migrations entering the install phase; every one ends as */     \
+  /* completed or aborted (destination crashed / install refused — the */   \
+  /* partition rolls back to its old home, which was never retired). */     \
+  X(migrations_started, kSum)                                               \
+  X(migrations_completed, kSum)                                             \
+  X(migrations_aborted, kSum)                                               \
+  X(migration_rules_moved, kSum) /* authority rules installed at dests */   \
+  /* Peak extra authority-rule copies. A maximum: shard-local double */     \
+  /* occupancy never exceeds the global peak, and the migration */          \
+  /* machinery only runs in global events anyway. */                        \
+  X(migration_double_peak, kMax)                                            \
+  /* Packets that landed at the old home mid-migration. */                  \
+  X(migration_inflight_redirects, kSum)
+
 struct ScenarioStats {
+  enum class Merge { kSum, kMax };
+
   Tracer tracer;
-  std::uint64_t ingress_cache_hits = 0;   // first lookup hit the cache band
-  std::uint64_t ingress_local_hits = 0;   // ingress itself was the authority
-  std::uint64_t redirects = 0;            // packets sent via an authority switch
-  std::uint64_t queue_rejects = 0;        // authority/controller overload drops
-  std::uint64_t cache_installs = 0;       // install messages sent to ingresses
-  std::uint64_t cache_rules_installed = 0;
-  std::uint64_t cache_hit_mismatches = 0; // verify_cache_hits violations
-  // Elephant-aware install policy accounting (all zero with the policy off).
-  std::uint64_t elephant_promotions = 0;  // flows that crossed the threshold
-  std::uint64_t elephant_installs = 0;    // installs sent with the long timeout
-  std::uint64_t elephant_proactive = 0;   // promotion-time pre-seeds of other edges
-  std::uint64_t mice_bypassed = 0;        // installs skipped by mice bypass
-  // Live (unexpired) cache-band entries across the edge at the end of run():
-  // the TCAM footprint the run leaves behind. Computed by run(), not merged.
-  std::uint64_t cache_entries_final = 0;
   SampleSet stretch;                      // delivered first packets: hops / shortest
   RateMeter setup_completions;            // first-packet dispositions per second
+#define DIFANE_DECLARE_COUNTER(name, policy) std::uint64_t name = 0;
+  DIFANE_SCENARIO_COUNTERS(DIFANE_DECLARE_COUNTER)
+#undef DIFANE_DECLARE_COUNTER
 
-  // Fault / robustness accounting, aggregated from the channels, the fault
-  // injector, and the heartbeat monitor at the end of a run. All zero when
-  // the run was fault-free with legacy channels.
-  std::uint64_t ctrl_transmissions = 0;   // channel transmissions incl. rexmit
-  std::uint64_t ctrl_retransmits = 0;
-  std::uint64_t ctrl_acks = 0;
-  std::uint64_t ctrl_dup_requests = 0;    // duplicates the receivers suppressed
-  std::uint64_t ctrl_reordered = 0;       // arrivals buffered for in-order apply
-  std::uint64_t msgs_lost = 0;            // transmissions the injector dropped
-  std::uint64_t msgs_duplicated = 0;
-  std::uint64_t msgs_jittered = 0;
-  std::uint64_t install_faults = 0;       // FlowMod applies failed by injection
-  std::uint64_t guard_rejects = 0;        // strict-guard install rejections
-  std::uint64_t heartbeats_heard = 0;
-  std::uint64_t heartbeats_missed = 0;
-  std::uint64_t failovers_detected = 0;   // heartbeat failure declarations
-  std::uint64_t recoveries_detected = 0;
-  std::uint64_t spurious_failovers = 0;   // failovers declared for live switches
-  std::uint64_t link_flaps = 0;           // link-down events executed
-  std::uint64_t authority_crashes = 0;
-  std::uint64_t authority_restarts = 0;
-
-  // Telemetry data plane (all zero with measurement off). Switch side:
-  // sampler and record-table accounting summed over every exporter. Export
-  // side: what reached the collector, and the channel/piggyback activity the
-  // export path generated (kept apart from ctrl_* so install-channel and
-  // export-channel behaviour stay separately observable).
-  std::uint64_t telemetry_sampled_packets = 0;
-  std::uint64_t telemetry_sampled_bytes = 0;
-  std::uint64_t telemetry_records = 0;        // distinct flow records created
-  std::uint64_t telemetry_dropped_records = 0;
-  std::uint64_t telemetry_dropped_packets = 0;
-  std::uint64_t telemetry_overflow_drops = 0;
-  std::uint64_t export_batches = 0;           // batches the collector received
-  std::uint64_t export_records = 0;
-  std::uint64_t export_keepalives = 0;        // empty (liveness-only) batches
-  std::uint64_t export_evict_records = 0;     // eviction-flush closures
-  std::uint64_t export_final_records = 0;     // end-of-run drain records
-  std::uint64_t export_transmissions = 0;     // export-channel sends incl. rexmit
-  std::uint64_t export_retransmits = 0;
-  std::uint64_t export_piggyback_fresh = 0;   // batches accepted as liveness
-  std::uint64_t export_piggyback_stale = 0;
-
-  // Live partition migration (all zero with migration off). started counts
-  // migrations entering the install phase; every one ends as completed or
-  // aborted (destination crashed / install refused — the partition rolls
-  // back to its old home, which was never retired).
-  std::uint64_t migrations_started = 0;
-  std::uint64_t migrations_completed = 0;
-  std::uint64_t migrations_aborted = 0;
-  std::uint64_t migration_rules_moved = 0;     // authority rules installed at dests
-  std::uint64_t migration_double_peak = 0;     // peak extra authority-rule copies
-  std::uint64_t migration_inflight_redirects = 0;  // packets that landed at the
-                                                   // old home mid-migration
   double cache_hit_fraction() const {
     const auto total = ingress_cache_hits + ingress_local_hits + redirects;
     return total ? static_cast<double>(ingress_cache_hits + ingress_local_hits) /
@@ -439,12 +441,6 @@ class Scenario {
   void inject_bursts(const std::vector<FlowSpec>& flows);
   void process_burst(std::uint32_t group, std::uint32_t begin,
                      std::uint32_t end);
-  void process_injected(SwitchId at, const Packet& pkt,
-                        const FlowTable::BatchState& batch, std::size_t slot);
-  // Tail shared by process() and process_injected(): miss handling, ingress
-  // accounting, hit verification, telemetry sampling, action dispatch.
-  void process_lookup_result(SwitchId at, Packet pkt, const FlowEntry* entry,
-                             double now);
   void handle_authority(SwitchId at, Packet pkt);
   void punt_to_controller(Packet pkt);
   void apply_action(SwitchId at, Packet pkt, const Action& action);
@@ -531,22 +527,6 @@ class Scenario {
   // Burst-mode arrival schedule (params_.burst > 0 only): stable storage the
   // burst handlers index into, so each event captures just {group, range}.
   BurstPlan burst_plan_;
-  // Batch resume state, one slot per ingress group: the chunk bounds and
-  // memoized exact-match heads of the chunk a deferred burst was working
-  // through. The continuation finds its chunk still here and resumes the
-  // batch pass mid-chunk instead of re-hashing and re-prefetching the whole
-  // tail (an authority-redirect-heavy burst used to degrade to one full
-  // 64-key prefetch pass per resumed packet). Stale heads are harmless:
-  // lookup_prepared() recomputes per key when the table's generation moved.
-  // A group's handlers all run on its ingress switch's shard, so each slot
-  // is single-threaded within a window and handed across windows by the
-  // executor's barrier.
-  struct BurstResume {
-    std::uint32_t chunk_begin = 0;
-    std::uint32_t chunk_end = 0;  // begin == end: nothing stored
-    FlowTable::BatchState batch;
-  };
-  std::vector<BurstResume> burst_resume_;
   // Live-migration state (params_.migration.enabled only; all empty
   // otherwise so the migration-off path is byte-identical to before).
   // Mutated exclusively from global events. Slots are stable for the run so

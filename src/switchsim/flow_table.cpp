@@ -258,7 +258,6 @@ void FlowTable::erase_entry(std::uint32_t slot, Band band) {
 
 bool FlowTable::install(const Rule& rule, Band band, double now, double idle_timeout,
                         double hard_timeout, std::vector<RuleId> guards) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   // Group safety under heterogeneous idle timeouts (the elephant policy
   // installs the same protector rule from groups with different leashes): a
@@ -369,7 +368,6 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
   expects(band != Band::kCache,
           "install_bulk: cache-band installs need the eviction/guard logic of "
           "install()");
-  ++gen_;
   BandState& bs = bands_[index(band)];
   const std::size_t old_size = bs.order.size();
   std::size_t accepted = 0;
@@ -440,7 +438,6 @@ void FlowTable::retire(const FlowEntry& entry) {
 }
 
 void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
-  ++gen_;
   BandState& cache = bands_[index(Band::kCache)];
   std::vector<RuleId> deps;
   while (!removed_ids.empty()) {
@@ -464,7 +461,6 @@ void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
 }
 
 void FlowTable::evict_lru_cache() {
-  ++gen_;
   // Minimal last_hit, ties broken by band order: the recency list is sorted
   // by last_hit, so the candidates are its head run of entries sharing the
   // oldest last_hit — one entry unless several were touched at that instant.
@@ -491,7 +487,6 @@ void FlowTable::evict_lru_cache() {
 }
 
 bool FlowTable::remove(RuleId id, Band band) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
@@ -504,7 +499,6 @@ bool FlowTable::remove(RuleId id, Band band) {
 }
 
 void FlowTable::clear_band(Band band) {
-  ++gen_;
   BandState& bs = bands_[index(band)];
   const bool is_cache = band == Band::kCache;
   for (const std::uint32_t slot : is_cache ? cache_order() : bs.order) {
@@ -528,7 +522,6 @@ void FlowTable::clear_band(Band band) {
 }
 
 std::size_t FlowTable::expire(double now) {
-  ++gen_;
   std::size_t total = 0;
   // The walk below also takes the survivors' earliest expiry as the new
   // watermark. Entries the cascade removes afterwards only make it lower
@@ -579,28 +572,21 @@ std::size_t FlowTable::expire(double now) {
   return total;
 }
 
-std::uint32_t FlowTable::exact_head(const BitVec& packet) const {
-  if (exact_keys_ == 0) return kNilSlot;
-  const BitVec key = packet & used_header_mask();
-  return exact_buckets_[exact_bucket(key, exact_hash(key))].head;
-}
-
 const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
-  return resolve_live_match(packet, now, exact_head(packet));
-}
-
-const FlowEntry* FlowTable::resolve_live_match(const BitVec& packet, double now,
-                                               std::uint32_t head) const {
   // Cache band: the winner is the first live match in key order. The exact
   // chain (unordered, usually one entry) yields its key-minimal live match;
   // the key-ordered wildcard scan stops at its first live match or as soon
   // as it sorts after that exact candidate.
   const FlowEntry* win = nullptr;
-  for (std::uint32_t s = head; s != kNilSlot; s = links_[s].exact_next) {
-    const FlowEntry& e = slab_[s];
-    if (live_match(e, packet, now) &&
-        (win == nullptr || rule_before(e.rule, win->rule))) {
-      win = &e;
+  if (exact_keys_ != 0) {
+    const BitVec key = packet & used_header_mask();
+    for (std::uint32_t s = exact_buckets_[exact_bucket(key, exact_hash(key))].head;
+         s != kNilSlot; s = links_[s].exact_next) {
+      const FlowEntry& e = slab_[s];
+      if (live_match(e, packet, now) &&
+          (win == nullptr || rule_before(e.rule, win->rule))) {
+        win = &e;
+      }
     }
   }
   for (const std::uint32_t s : cache_wild_) {
@@ -626,12 +612,7 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
   // skipping the sweep while now < watermark removes exactly nothing — the
   // table, stats, and cascades evolve byte-identically to an eager sweep.
   if (now >= expiry_watermark_) expire(now);
-  return finish_lookup(const_cast<FlowEntry*>(find_live_match(packet, now)),
-                       now, bytes);
-}
-
-const FlowEntry* FlowTable::finish_lookup(FlowEntry* entry, double now,
-                                          std::uint64_t bytes) {
+  FlowEntry* entry = const_cast<FlowEntry*>(find_live_match(packet, now));
   if (entry == nullptr) {
     ++stats_.misses;
     return nullptr;
@@ -657,60 +638,6 @@ const FlowEntry* FlowTable::finish_lookup(FlowEntry* entry, double now,
     lru_touch(static_cast<std::uint32_t>(entry - slab_.data()));
   }
   return entry;
-}
-
-void FlowTable::lookup_prefetch(const BitVec* const* keys, std::size_t n,
-                                BatchState& batch, bool prefetch) const {
-  expects(n <= kMaxBatch, "lookup_prefetch: burst larger than kMaxBatch");
-  batch.gen = gen_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t head = exact_head(*keys[i]);
-    batch.heads[i] = head;
-    // Fetch the whole entry (rule pattern + timeouts + counters span ~3
-    // lines); the resolve pass reads all of it within a few hundred ns.
-    // Depth > 1 keeps walking the duplicate chain: the resolve pass visits
-    // exactly these nodes when the head turns out expired or superseded.
-    if (prefetch) {
-      std::uint32_t slot = head;
-      for (std::uint32_t d = 0; d < prefetch_depth_ && slot != kNilSlot; ++d) {
-        util::prefetch_read_range(&slab_[slot], sizeof(FlowEntry));
-        slot = links_[slot].exact_next;
-      }
-    }
-  }
-}
-
-const FlowEntry* FlowTable::lookup_prepared(const BitVec& packet, std::size_t i,
-                                            const BatchState& batch, double now,
-                                            std::uint64_t bytes) {
-  if (now >= expiry_watermark_) expire(now);
-  // A sweep (ours, just now, or any mutation since pass 1) moves the
-  // generation forward; the memoized head may then dangle, so recompute it.
-  const std::uint32_t head =
-      batch.gen == gen_ ? batch.heads[i] : exact_head(packet);
-  return finish_lookup(
-      const_cast<FlowEntry*>(resolve_live_match(packet, now, head)), now,
-      bytes);
-}
-
-std::size_t FlowTable::lookup_batch(const BitVec* const* keys,
-                                    const double* nows,
-                                    const std::uint64_t* bytes, std::size_t n,
-                                    const FlowEntry** out, bool prefetch) {
-  std::size_t hits = 0;
-  for (std::size_t base = 0; base < n; base += kMaxBatch) {
-    const std::size_t chunk = std::min(kMaxBatch, n - base);
-    BatchState batch;
-    lookup_prefetch(keys + base, chunk, batch, prefetch);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      const FlowEntry* e =
-          lookup_prepared(*keys[base + i], i, batch, nows[base + i],
-                          bytes != nullptr ? bytes[base + i] : 1);
-      out[base + i] = e;
-      if (e != nullptr) ++hits;
-    }
-  }
-  return hits;
 }
 
 bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {

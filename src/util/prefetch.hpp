@@ -1,27 +1,20 @@
 #pragma once
 
-// Portable software-prefetch wrapper for the burst-mode data plane. The
-// batch lookup path (FlowTable::lookup_prefetch) hashes a whole burst of
-// keys first and issues prefetches over the entry slab before resolving any
-// of them, so the slab lines are (ideally) resident by the time the resolve
-// loop touches them. On compilers without __builtin_prefetch this compiles
-// to nothing — prefetch is a pure hint and must never change semantics.
+// Portable software-prefetch wrapper. FlowTable's LRU eviction uses it to
+// start fetching the next victim while the caller installs. On compilers
+// without __builtin_prefetch this compiles to nothing — prefetch is a pure
+// hint and must never change semantics.
 
 namespace difane::util {
 
 #if defined(__GNUC__) || defined(__clang__)
 
-// Hint that `p` will be read soon. `locality` 0..3 maps to the compiler's
-// temporal-locality hint (3 = keep in all cache levels, the right default
-// for table entries that the resolve pass reads within a few hundred ns).
+// Hint that `p` will be read soon, keeping it in all cache levels.
 inline void prefetch_read(const void* p) { __builtin_prefetch(p, 0, 3); }
-
-inline void prefetch_write(const void* p) { __builtin_prefetch(p, 1, 3); }
 
 #else
 
 inline void prefetch_read(const void*) {}
-inline void prefetch_write(const void*) {}
 
 #endif
 
@@ -31,20 +24,12 @@ inline void prefetch_write(const void*) {}
 inline constexpr unsigned kCacheLineBytes = 64;
 
 // Prefetch an object that may span multiple cache lines: one hint per cache
-// line over [p, p + bytes). FlowEntry is ~3 lines; fetching all of them keeps
-// the resolve pass from stalling on the second line after the first hit.
+// line over [p, p + bytes). FlowEntry is ~3 lines.
 inline void prefetch_read_range(const void* p, unsigned bytes) {
   const char* c = static_cast<const char*>(p);
   for (unsigned off = 0; off < bytes; off += kCacheLineBytes) {
     prefetch_read(c + off);
   }
 }
-
-// Depth semantics for chained prefetch (FlowTable's exact-match duplicate
-// chains, ScenarioParams::prefetch_depth): depth N means "prefetch the first
-// N nodes reachable from the head", each via prefetch_read_range. Walking a
-// linked chain requires the *caller's* node layout, so the walk itself lives
-// with the data structure; this header only fixes the unit (nodes, not
-// lines) so every tunable that says "depth" means the same thing.
 
 }  // namespace difane::util

@@ -47,18 +47,18 @@ Partition catch_all_partition() {
 
 class MicroflowSource {
  public:
-  MicroflowSource() : gen_(partition_, 0, CacheStrategy::kMicroflow, 1u << 20) {}
+  MicroflowSource() : generator_(partition_, 0, CacheStrategy::kMicroflow, 1u << 20) {}
 
   // A fresh flow header (random over all 256 bits; the microflow pattern
   // keeps the used ones) and its cache rule.
   std::pair<BitVec, Rule> next() {
     const BitVec header = Ternary::wildcard().sample_point(rng_);
-    return {header, gen_.generate(header, 0).rules.at(0)};
+    return {header, generator_.generate(header, 0).rules.at(0)};
   }
 
  private:
   Partition partition_ = catch_all_partition();
-  CacheRuleGenerator gen_;
+  CacheRuleGenerator generator_;
   Rng rng_{0x5ca1e};
 };
 

@@ -1,6 +1,6 @@
-// Burst-mode equivalence: the coalesced burst data plane (batched lookups
-// with prefetch, one engine event per (ingress, window) burst) is a pure
-// execution-order optimization — for any (policy, traffic, params, seed) it
+// Burst-mode equivalence: the coalesced burst data plane (one engine event
+// per (ingress, window) burst, each packet resolved by the scalar lookup at
+// its own clock) is a pure execution-order optimization — for any (policy, traffic, params, seed) it
 // must be byte-identical to the scalar path on every deterministic surface:
 // the flat stats snapshot, the telemetry export stream, and the post-run
 // installed-state verifier. Random policies, traffic shapes, cache
@@ -57,12 +57,8 @@ CaseSetup gen_case(proptest::PropertyContext& ctx) {
                                                   CacheStrategy::kCoverSet};
   p.cache_strategy = kStrategies[ctx.rng.uniform(0, 2)];
   // Short timeouts make the lazy-expiry sweep fire mid-burst; long ones keep
-  // the cache warm so batched hits dominate.
+  // the cache warm so cache hits dominate.
   p.timings.cache_idle_timeout = ctx.rng.bernoulli(0.5) ? 0.02 : 10.0;
-  // Prefetch depth is a pure memory hint: any depth must leave every
-  // fingerprint identical, so let cases draw it freely.
-  static constexpr std::size_t kDepths[] = {1, 2, 4, 8};
-  p.prefetch_depth = kDepths[ctx.rng.uniform(0, 3)];
   if (ctx.rng.bernoulli(0.4)) {
     p.measurement.enabled = true;
     p.measurement.sample_prob = 0.25 + ctx.rng.uniform01() * 0.5;

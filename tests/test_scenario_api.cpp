@@ -5,6 +5,8 @@
 // produces a byte-identical report modulo git_rev/wall metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.hpp"
 #include "util/contract.hpp"
 #include "workload/rulegen.hpp"
@@ -476,20 +478,6 @@ TEST(Validate, RejectsBurstAndRingMisWiresNamingTheField) {
   params.burst = 2048;  // exceeds the default 1024-slot ring
   EXPECT_EQ(field_of(params), "burst");
 
-  // Prefetch depth: counts exact-match chain entries prefetched per key, so
-  // zero is meaningless and anything past one batch's worth is a mis-wire.
-  params = good_params();
-  params.prefetch_depth = 0;
-  EXPECT_EQ(field_of(params), "prefetch_depth");
-
-  params = good_params();
-  params.prefetch_depth = FlowTable::kMaxBatch + 1;
-  EXPECT_EQ(field_of(params), "prefetch_depth");
-
-  params = good_params();
-  params.prefetch_depth = 8;
-  EXPECT_NO_THROW(params.validate());
-
   // Well-formed combinations: scalar default, power-of-two rings, bursts up
   // to exactly the ring capacity, and non-power-of-two burst sizes (only
   // the ring is constrained).
@@ -610,6 +598,40 @@ TEST(Snapshot, MatchesTheUnderlyingGetters) {
     (void)value;
     EXPECT_FALSE(obs::is_wall_metric(name)) << name;
   }
+}
+
+// Shard totals at threads > 1 are merge_from folds, so every counter must
+// merge by its policy and surface under its own snapshot key. Distinct
+// values per counter also catch two counters reported under swapped keys.
+TEST(Snapshot, MergeFoldsEveryCounterByItsPolicy) {
+  ScenarioStats a;
+  ScenarioStats b;
+  std::uint64_t i = 0;
+#define SET_COUNTER(name, policy) \
+  a.name = 1000 + i;              \
+  b.name = 5000 + 7 * i;          \
+  ++i;
+  DIFANE_SCENARIO_COUNTERS(SET_COUNTER)
+#undef SET_COUNTER
+  a.merge_from(b);
+  const auto report = a.snapshot();
+  i = 0;
+#define CHECK_COUNTER(name, policy)                                        \
+  {                                                                        \
+    const std::uint64_t lhs = 1000 + i;                                    \
+    const std::uint64_t rhs = 5000 + 7 * i;                                \
+    const std::uint64_t want = ScenarioStats::Merge::policy ==             \
+                                       ScenarioStats::Merge::kMax          \
+                                   ? std::max(lhs, rhs)                    \
+                                   : lhs + rhs;                            \
+    ASSERT_EQ(report.metrics.count(#name), 1u) << #name;                   \
+    EXPECT_EQ(report.metrics.at(#name), static_cast<double>(want)) << #name; \
+    ++i;                                                                   \
+  }
+  DIFANE_SCENARIO_COUNTERS(CHECK_COUNTER)
+#undef CHECK_COUNTER
+  // The one peak counter takes the larger side, not the sum.
+  EXPECT_EQ(a.migration_double_peak, b.migration_double_peak);
 }
 
 TEST(Snapshot, SameSeedProducesByteIdenticalJsonModuloHostFields) {

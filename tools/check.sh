@@ -193,5 +193,12 @@ echo "== live migration (tsan): MigrationChaos suites =="
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'MigrationChaos' -j "$jobs"
+# Burst handlers (process_burst and its continuations) run on shard workers;
+# the sharded burst property is labelled `property`, which the TSan stages
+# above do not run, so call it out by name.
+echo "== sharded burst (tsan): Property.ShardedBurst =="
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-tsan --output-on-failure --no-tests=error \
+  -R '^Property\.ShardedBurst' -j "$jobs"
 
 echo "== all checks passed =="
