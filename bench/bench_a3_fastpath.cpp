@@ -19,6 +19,12 @@
 
 namespace {
 std::uint64_t g_allocs = 0;
+
+// Every replacement operator delete frees through here. Kept out of line:
+// once GCC inlines a delete into a caller it pairs the caller's `new` with
+// this free() and reports a mismatch (-Wmismatched-new-delete), although
+// the replacement operator new allocates with malloc.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t n) {
@@ -39,17 +45,15 @@ void* operator new(std::size_t n, std::align_val_t align) {
 void* operator new[](std::size_t n, std::align_val_t align) {
   return ::operator new(n, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 using namespace difane;

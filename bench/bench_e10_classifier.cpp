@@ -33,14 +33,14 @@ std::vector<BitVec> make_packets(const RuleTable& policy, std::size_t n,
 
 // Runs classify over the packet ring until ~min_iters lookups, returns
 // nanoseconds per lookup. A volatile sink keeps the calls live.
-template <typename Classifier>
-double time_classify_ns(const Classifier& classifier,
+template <typename Classify>
+double time_classify_ns(const Classify& classify,
                         const std::vector<BitVec>& packets, std::size_t min_iters) {
   volatile const void* sink = nullptr;
   std::size_t i = 0, iters = 0;
   const auto t0 = std::chrono::steady_clock::now();
   while (iters < min_iters) {
-    sink = classifier.classify(packets[i++ & (packets.size() - 1)]);
+    sink = classify(packets[i++ & (packets.size() - 1)]);
     ++iters;
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -82,8 +82,10 @@ int main(int argc, char** argv) {
       const double build_ms =
           std::chrono::duration<double, std::milli>(b1 - b0).count();
 
-      const double linear_ns = time_classify_ns(linear, packets, lookups);
-      const double dtree_ns = time_classify_ns(tree, packets, lookups);
+      const double linear_ns = time_classify_ns(
+          [&](const BitVec& p) { return linear.classify(p); }, packets, lookups);
+      const double dtree_ns = time_classify_ns(
+          [&](const BitVec& p) { return tree.classify(policy, p); }, packets, lookups);
 
       const std::string suffix = tag("_n", static_cast<double>(size));
       // Structure metrics are deterministic (same seed => same tree).

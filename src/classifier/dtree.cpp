@@ -1,6 +1,7 @@
 #include "classifier/dtree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "flowspace/header.hpp"
@@ -10,61 +11,72 @@
 namespace difane {
 
 namespace {
-// Only bits inside the 12-tuple can ever separate rules.
-std::size_t usable_bits() { return header_bits_used(); }
-
-// Build-time/classification instrumentation, aggregated process-wide.
+// Build-time instrumentation, aggregated process-wide.
 obs::Timer* build_timer() {
   static obs::Timer* t = obs::MetricsRegistry::global().timer("dtree_build");
   return t;
 }
-obs::Counter* classify_counter() {
-  static obs::Counter* c =
-      obs::MetricsRegistry::global().counter("dtree_classify_calls");
-  return c;
-}
 }  // namespace
 
-int choose_cut_bit(const std::vector<const Rule*>& rules, double dup_penalty,
-                   std::size_t* n0_out, std::size_t* n1_out) {
-  const std::size_t n = rules.size();
-  int best_bit = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  std::size_t best_n0 = 0, best_n1 = 0;
-  for (std::size_t bit = 0; bit < usable_bits(); ++bit) {
-    std::size_t n0 = 0, n1 = 0;
-    for (const Rule* r : rules) {
-      if (!r->match.care().get(bit)) {
-        ++n0;
-        ++n1;  // wildcard: duplicated into both halves
-      } else if (r->match.value().get(bit)) {
-        ++n1;
-      } else {
-        ++n0;
-      }
-    }
-    if (n0 == n || n1 == n) continue;  // no separation
-    const double score = static_cast<double>(std::max(n0, n1)) +
-                         dup_penalty * static_cast<double>(n0 + n1 - n);
-    if (score < best_score) {
-      best_score = score;
-      best_bit = static_cast<int>(bit);
-      best_n0 = n0;
-      best_n1 = n1;
+void CutBitCounts::add(const Ternary& match) {
+  expects(n_ < (std::size_t{1} << kPlanes) - 1, "CutBitCounts: too many rules");
+  ++n_;
+  planes_used_ = static_cast<std::size_t>(std::bit_width(n_));
+  accumulate(care_, match.care());
+  accumulate(one_, match.value());  // Ternary zeroes value on wildcard bits
+}
+
+// Adds one to the count of every set bit: a ripple-carry add into the
+// bit-sliced planes, which stops as soon as no word carries.
+void CutBitCounts::accumulate(Planes& planes, const BitVec& bits) {
+  for (std::size_t w = 0; w < kHeaderWords; ++w) {
+    std::uint64_t carry = bits.w[w];
+    for (std::size_t k = 0; carry != 0; ++k) {
+      const std::uint64_t next = planes[k][w] & carry;
+      planes[k][w] ^= carry;
+      carry = next;
     }
   }
-  if (n0_out) *n0_out = best_n0;
-  if (n1_out) *n1_out = best_n1;
-  return best_bit;
+}
+
+std::size_t CutBitCounts::count(const Planes& planes, std::size_t bit) const {
+  const std::size_t w = bit / 64;
+  const std::size_t shift = bit % 64;
+  std::size_t c = 0;
+  for (std::size_t k = 0; k < planes_used_; ++k) {
+    c |= static_cast<std::size_t>((planes[k][w] >> shift) & 1ULL) << k;
+  }
+  return c;
+}
+
+CutChoice best_cut(const CutBitCounts& counts, const BitVec& candidates,
+                   double dup_penalty) {
+  CutChoice best;
+  double best_score = std::numeric_limits<double>::infinity();
+  for (std::size_t w = 0; w < kHeaderWords; ++w) {
+    for (std::uint64_t rest = candidates.w[w]; rest != 0; rest &= rest - 1) {
+      const std::size_t bit = w * 64 + static_cast<std::size_t>(std::countr_zero(rest));
+      const std::size_t n0 = counts.n0(bit);
+      const std::size_t n1 = counts.n1(bit);
+      if (n0 == counts.size() || n1 == counts.size()) continue;  // no separation
+      const double score = static_cast<double>(std::max(n0, n1)) +
+                           dup_penalty * static_cast<double>(n0 + n1 - counts.size());
+      if (score < best_score) {
+        best_score = score;
+        best = CutChoice{static_cast<int>(bit), n0, n1};
+      }
+    }
+  }
+  return best;
 }
 
 DTreeClassifier::DTreeClassifier(const RuleTable& table, DTreeParams params)
-    : params_(params), rules_(table.rules()) {
+    : params_(params), rule_count_(table.size()) {
   obs::ScopedTimer timed(build_timer());
   // table.rules() is already priority-sorted; indices preserve that order.
-  std::vector<std::uint32_t> all(rules_.size());
-  for (std::uint32_t i = 0; i < rules_.size(); ++i) all[i] = i;
-  root_ = build(all, 0);
+  std::vector<std::uint32_t> all(rule_count_);
+  for (std::uint32_t i = 0; i < rule_count_; ++i) all[i] = i;
+  root_ = build(table, all, 0);
 }
 
 std::uint32_t DTreeClassifier::make_leaf(const std::vector<std::uint32_t>& rules) {
@@ -77,21 +89,21 @@ std::uint32_t DTreeClassifier::make_leaf(const std::vector<std::uint32_t>& rules
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
 
-std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
+std::uint32_t DTreeClassifier::build(const RuleTable& table,
+                                     std::vector<std::uint32_t>& rules,
                                      std::size_t depth) {
   depth_ = std::max(depth_, depth);
   if (rules.size() <= params_.leaf_size || depth >= params_.max_depth) {
     return make_leaf(rules);
   }
-  std::vector<const Rule*> ptrs;
-  ptrs.reserve(rules.size());
-  for (const auto i : rules) ptrs.push_back(&rules_[i]);
-  const int bit = choose_cut_bit(ptrs, params_.dup_penalty);
+  CutBitCounts counts;
+  for (const auto i : rules) counts.add(table.rules()[i].match);
+  const int bit = best_cut(counts, used_header_mask(), params_.dup_penalty).bit;
   if (bit < 0) return make_leaf(rules);  // indistinguishable rules
 
   std::vector<std::uint32_t> left, right;
   for (const auto i : rules) {
-    const auto& m = rules_[i].match;
+    const auto& m = table.rules()[i].match;
     if (!m.care().get(static_cast<std::size_t>(bit))) {
       left.push_back(i);
       right.push_back(i);
@@ -101,7 +113,7 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
       left.push_back(i);
     }
   }
-  // Guard against degenerate cuts (choose_cut_bit filters these, but keep the
+  // Guard against degenerate cuts (best_cut filters these, but keep the
   // invariant local).
   if (left.size() == rules.size() && right.size() == rules.size()) {
     return make_leaf(rules);
@@ -112,27 +124,42 @@ std::uint32_t DTreeClassifier::build(std::vector<std::uint32_t>& rules,
   const std::uint32_t self = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{});
   nodes_[self].cut_bit = bit;
-  const std::uint32_t l = build(left, depth + 1);
-  const std::uint32_t r = build(right, depth + 1);
+  const std::uint32_t l = build(table, left, depth + 1);
+  const std::uint32_t r = build(table, right, depth + 1);
   nodes_[self].left = l;
   nodes_[self].right = r;
   return self;
 }
 
-const Rule* DTreeClassifier::classify(const BitVec& packet) const {
-  classify_counter()->inc();
-  if (nodes_.empty()) return nullptr;
+std::optional<std::size_t> DTreeClassifier::match_index(const RuleTable& table,
+                                                        const BitVec& packet) const {
+  if (nodes_.empty()) return std::nullopt;
   std::uint32_t at = root_;
   while (nodes_[at].cut_bit >= 0) {
+    // Cut bits come from used_header_mask(), so the word index is in range.
     const auto bit = static_cast<std::size_t>(nodes_[at].cut_bit);
-    at = packet.get(bit) ? nodes_[at].right : nodes_[at].left;
+    at = (packet.w[bit / 64] >> (bit % 64)) & 1ULL ? nodes_[at].right : nodes_[at].left;
   }
   const Node& leaf = nodes_[at];
+  const auto& rules = table.rules();
   for (std::uint32_t i = leaf.leaf_begin; i < leaf.leaf_end; ++i) {
-    const Rule& rule = rules_[leaf_refs_[i]];
-    if (rule.match.matches(packet)) return &rule;
+    // Ternary::matches as one OR-reduction. At -O2, GCC compiles the
+    // early-exit is_zero() here to a vector spill and a word loop; this form
+    // made E10's tree lookups ~1.6x faster.
+    const Ternary& m = rules[leaf_refs_[i]].match;
+    std::uint64_t mismatch = 0;
+    for (std::size_t w = 0; w < kHeaderWords; ++w) {
+      mismatch |= (packet.w[w] ^ m.value().w[w]) & m.care().w[w];
+    }
+    if (mismatch == 0) return leaf_refs_[i];
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+const Rule* DTreeClassifier::classify(const RuleTable& table,
+                                      const BitVec& packet) const {
+  const auto idx = match_index(table, packet);
+  return idx ? &table.rules()[*idx] : nullptr;
 }
 
 std::size_t DTreeClassifier::leaf_count() const {
@@ -150,9 +177,9 @@ double DTreeClassifier::avg_leaf_rules() const {
 }
 
 double DTreeClassifier::duplication_factor() const {
-  return rules_.empty() ? 1.0
-                        : static_cast<double>(leaf_refs_.size()) /
-                              static_cast<double>(rules_.size());
+  return rule_count_ == 0 ? 1.0
+                          : static_cast<double>(leaf_refs_.size()) /
+                                static_cast<double>(rule_count_);
 }
 
 }  // namespace difane

@@ -1,11 +1,13 @@
 // Decision-tree packet classifier (HiCuts-style, binary cuts on header
 // bits). Rules with a wildcard in the cut bit are duplicated into both
 // subtrees, so every leaf holds exactly the rules that can match packets
-// reaching it. The same cut machinery, with capacity-bounded leaves, is what
-// DIFANE's flow-space partitioner builds on.
+// reaching it. The same cut scoring (CutBitCounts), with capacity-bounded
+// leaves, is what DIFANE's flow-space partitioner builds on.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "flowspace/rule_table.hpp"
@@ -20,24 +22,65 @@ struct DTreeParams {
   double dup_penalty = 1.0;
 };
 
-// Chooses the cut bit minimizing the score above over all bits that actually
-// separate the given rules. Returns -1 if no bit separates them. Exposed for
-// reuse by the partitioner.
-// n0/n1 out-params receive the subset sizes for the chosen bit.
-int choose_cut_bit(const std::vector<const Rule*>& rules, double dup_penalty,
-                   std::size_t* n0_out = nullptr, std::size_t* n1_out = nullptr);
+// Per-bit counts over a set of rule patterns: for every header bit, how many
+// patterns care about it and how many of those require a 1. Cutting on bit b
+// sends n0 = n - one[b] rules to the 0 side and n1 = n - care[b] + one[b] to
+// the 1 side (wildcards go to both). add() sums a pattern's care and value
+// words into bit-sliced counters, a few word operations per pattern instead
+// of one test per pattern and bit.
+class CutBitCounts {
+ public:
+  void add(const Ternary& match);
+
+  std::size_t size() const { return n_; }
+  std::size_t n0(std::size_t bit) const { return n_ - count(one_, bit); }
+  std::size_t n1(std::size_t bit) const {
+    return n_ - count(care_, bit) + count(one_, bit);
+  }
+  // True iff cutting on `bit` leaves neither side with every rule.
+  bool separates(std::size_t bit) const { return n0(bit) != n_ && n1(bit) != n_; }
+
+ private:
+  // Plane k of word w holds bit k of every per-bit count in that word.
+  static constexpr std::size_t kPlanes = 32;
+  using Planes = std::array<std::array<std::uint64_t, kHeaderWords>, kPlanes>;
+
+  void accumulate(Planes& planes, const BitVec& bits);
+  std::size_t count(const Planes& planes, std::size_t bit) const;
+
+  std::size_t n_ = 0;
+  std::size_t planes_used_ = 0;
+  Planes care_{};
+  Planes one_{};
+};
+
+struct CutChoice {
+  int bit = -1;  // -1 => no candidate bit separates the rules
+  std::size_t n0 = 0;
+  std::size_t n1 = 0;
+};
+
+// The candidate bit that separates the counted rules at the lowest score
+// max(n0, n1) + dup_penalty * (n0 + n1 - n); on equal scores the lowest bit
+// wins.
+CutChoice best_cut(const CutBitCounts& counts, const BitVec& candidates,
+                   double dup_penalty);
 
 class DTreeClassifier {
  public:
-  // Copies the table's rules; the classifier owns its data.
+  // Indexes the table's rules by position and copies none of them: a lookup
+  // takes the table (or an identical copy of it) as an argument.
   explicit DTreeClassifier(const RuleTable& table, DTreeParams params = {});
 
-  // Highest-priority matching rule or nullptr. Walks the tree, then scans the
-  // leaf in priority order. The returned pointer is into this classifier's
-  // own storage and stays valid for its lifetime.
-  const Rule* classify(const BitVec& packet) const;
+  // Position in `table` of the highest-priority rule matching `packet`, the
+  // same answer as table.match_index(packet). Walks the tree, then scans the
+  // leaf in priority order. `table` must be the one the tree was built from.
+  std::optional<std::size_t> match_index(const RuleTable& table,
+                                         const BitVec& packet) const;
+  const Rule* classify(const RuleTable& table, const BitVec& packet) const;
 
   // Structure stats (for the substrate-validation bench E10).
+  std::size_t rule_count() const { return rule_count_; }
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t leaf_count() const;
   std::size_t depth() const { return depth_; }
@@ -53,11 +96,12 @@ class DTreeClassifier {
     std::uint32_t leaf_begin = 0, leaf_end = 0;  // [begin,end) into leaf_refs_
   };
 
-  std::uint32_t build(std::vector<std::uint32_t>& rules, std::size_t depth);
+  std::uint32_t build(const RuleTable& table, std::vector<std::uint32_t>& rules,
+                      std::size_t depth);
   std::uint32_t make_leaf(const std::vector<std::uint32_t>& rules);
 
   DTreeParams params_;
-  std::vector<Rule> rules_;                // priority-ordered copies
+  std::size_t rule_count_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> leaf_refs_;   // leaves' rule indices, priority-ordered
   std::uint32_t root_ = 0;

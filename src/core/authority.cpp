@@ -5,6 +5,8 @@
 namespace difane {
 
 void AuthorityNode::bind(const Partition& partition, RuleId synth_id_base) {
+  expects(partition.tree != nullptr && partition.tree->rule_count() == partition.rules.size(),
+          "AuthorityNode: partition has no tree over its rules");
   bindings_.push_back(Binding{
       &partition,
       CacheRuleGenerator(partition, switch_id_, strategy_, synth_id_base,
@@ -34,7 +36,7 @@ std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
     if (!binding.partition->region.matches(packet)) continue;
     RedirectResult result;
     result.partition = binding.partition->id;
-    const auto idx = binding.partition->rules.match_index(packet);
+    const auto idx = binding.partition->match_index(packet);
     if (!idx.has_value()) {
       result.winner = nullptr;  // partition covers the packet, no rule does
       return result;

@@ -24,7 +24,7 @@ class AuthorityNode {
   SwitchId switch_id() const { return switch_id_; }
 
   // Bind a partition this switch serves (as primary or backup). `partition`
-  // must outlive the node. `synth_id_base` spaces the generator's synthetic
+  // must outlive the node and carry its tree (PartitionPlan builds it). `synth_id_base` spaces the generator's synthetic
   // rule ids; callers hand each binding a disjoint range.
   void bind(const Partition& partition, RuleId synth_id_base);
 
@@ -49,7 +49,8 @@ class AuthorityNode {
   };
 
   // Handle a redirected packet: locate the owning partition among this
-  // switch's bindings, match it, and produce the cache install.
+  // switch's bindings, match it through the partition's tree, and produce
+  // the cache install.
   // Returns nullopt if no bound partition covers the packet (a misdirected
   // packet — e.g. stale partition rules right after failover).
   std::optional<RedirectResult> handle(const BitVec& packet);

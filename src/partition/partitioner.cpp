@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "classifier/dtree.hpp"
@@ -34,61 +33,38 @@ class TreeBuilder {
  private:
   int pick_bit(const std::vector<std::uint32_t>& rules, const Ternary& region,
                std::size_t* best_max_side) {
+    CutBitCounts counts;
+    for (const auto i : rules) counts.add(policy_.at(i).match);
     // Candidate bits: inside the used header, not already fixed by the region.
-    std::vector<int> separating;
-    int best_bit = -1;
-    double best_score = std::numeric_limits<double>::infinity();
-    const std::size_t n = rules.size();
-    for (std::size_t bit = 0; bit < header_bits_used(); ++bit) {
-      if (region.care().get(bit)) continue;
-      if (params_.strategy == CutStrategy::kIpBitsOnly && !is_ip_bit(bit)) continue;
-      std::size_t n0 = 0, n1 = 0;
-      for (const auto i : rules) {
-        const auto& m = policy_.at(i).match;
-        if (!m.care().get(bit)) {
-          ++n0;
-          ++n1;
-        } else if (m.value().get(bit)) {
-          ++n1;
-        } else {
-          ++n0;
-        }
+    const BitVec candidates = used_header_mask() & ~region.care() &
+                              (params_.strategy == CutStrategy::kIpBitsOnly
+                                   ? ip_bits()
+                                   : BitVec::ones());
+    if (params_.strategy == CutStrategy::kRandomBit) {
+      std::vector<std::size_t> separating;
+      for (std::size_t bit = 0; bit < header_bits_used(); ++bit) {
+        if (candidates.get(bit) && counts.separates(bit)) separating.push_back(bit);
       }
-      if (n0 == n || n1 == n) continue;  // does not separate
-      separating.push_back(static_cast<int>(bit));
-      const double score = static_cast<double>(std::max(n0, n1)) +
-                           params_.dup_penalty * static_cast<double>(n0 + n1 - n);
-      if (score < best_score) {
-        best_score = score;
-        best_bit = static_cast<int>(bit);
-        *best_max_side = std::max(n0, n1);
-      }
+      if (separating.empty()) return -1;
+      const std::size_t bit = separating[rng_.uniform(0, separating.size() - 1)];
+      *best_max_side = std::max(counts.n0(bit), counts.n1(bit));
+      return static_cast<int>(bit);
     }
-    if (params_.strategy == CutStrategy::kRandomBit && !separating.empty()) {
-      const int bit = separating[rng_.uniform(0, separating.size() - 1)];
-      std::size_t n0 = 0, n1 = 0;
-      for (const auto i : rules) {
-        const auto& m = policy_.at(i).match;
-        if (!m.care().get(static_cast<std::size_t>(bit))) {
-          ++n0;
-          ++n1;
-        } else if (m.value().get(static_cast<std::size_t>(bit))) {
-          ++n1;
-        } else {
-          ++n0;
-        }
-      }
-      *best_max_side = std::max(n0, n1);
-      return bit;
-    }
-    return best_bit;
+    const CutChoice cut = best_cut(counts, candidates, params_.dup_penalty);
+    if (cut.bit >= 0) *best_max_side = std::max(cut.n0, cut.n1);
+    return cut.bit;
   }
 
-  static bool is_ip_bit(std::size_t bit) {
-    const auto& src = field_spec(Field::kIpSrc);
-    const auto& dst = field_spec(Field::kIpDst);
-    return (bit >= src.offset && bit < src.offset + src.width) ||
-           (bit >= dst.offset && bit < dst.offset + dst.width);
+  static const BitVec& ip_bits() {
+    static const BitVec mask = [] {
+      BitVec m;
+      for (const Field f : {Field::kIpSrc, Field::kIpDst}) {
+        const auto& spec = field_spec(f);
+        m.set_bits(spec.offset, spec.width, ~0ULL);
+      }
+      return m;
+    }();
+    return mask;
   }
 
   void recurse(const Ternary& region, std::vector<std::uint32_t>& rules,

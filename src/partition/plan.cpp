@@ -15,6 +15,7 @@ PartitionPlan::PartitionPlan(std::vector<Partition> partitions,
       authority_count_(authority_count) {
   expects(!partitions_.empty(), "PartitionPlan: need at least one partition");
   expects(authority_count_ >= 1, "PartitionPlan: need at least one authority");
+  for (auto& p : partitions_) p.tree = std::make_shared<const DTreeClassifier>(p.rules);
 }
 
 const Partition& PartitionPlan::find(const BitVec& packet) const {

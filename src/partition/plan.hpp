@@ -3,13 +3,18 @@
 // cut tree), clips the policy into each region, and assigns regions to
 // authority switches. Partition rules — the low-priority redirect rules the
 // controller installs in *every* switch — are synthesized from the plan.
+// Each partition also carries a decision tree over its clipped rules: the
+// authority switch's answer to a redirected packet, the model's stand-in for
+// one TCAM lookup in the authority band.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "classifier/dtree.hpp"
 #include "flowspace/algebra.hpp"
 #include "flowspace/rule_table.hpp"
 
@@ -24,11 +29,21 @@ struct Partition {
   RuleTable rules;         // policy clipped to `region`
   AuthorityIndex primary = 0;
   AuthorityIndex backup = 0;  // used when the primary authority switch fails
+  // Index over `rules`, built once by the PartitionPlan constructor and
+  // immutable after; copies of the partition share it.
+  std::shared_ptr<const DTreeClassifier> tree;
+
+  // Position in `rules` of the highest-priority rule matching `packet`,
+  // resolved through `tree`; equal to rules.match_index(packet).
+  std::optional<std::size_t> match_index(const BitVec& packet) const {
+    return tree->match_index(rules, packet);
+  }
 };
 
 class PartitionPlan {
  public:
   PartitionPlan() = default;
+  // Builds every partition's tree.
   PartitionPlan(std::vector<Partition> partitions, std::size_t original_rule_count,
                 std::uint32_t authority_count);
 

@@ -51,7 +51,7 @@ Violation check_classifier_agreement(const Counterexample& cex,
   const DTreeClassifier tree(table, params);
   for (std::size_t i = 0; i < cex.packets.size(); ++i) {
     const Rule* a = linear.classify(cex.packets[i]);
-    const Rule* b = tree.classify(cex.packets[i]);
+    const Rule* b = tree.classify(table, cex.packets[i]);
     const bool same = (a == nullptr && b == nullptr) ||
                       (a != nullptr && b != nullptr && a->id == b->id);
     if (!same) {
@@ -326,6 +326,63 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
     }
   }
   return std::nullopt;
+}
+
+namespace {
+
+Violation trees_agree(const PartitionPlan& plan, const char* which,
+                      std::vector<BitVec> probes, Rng& rng) {
+  for (const auto& p : plan.partitions()) {
+    for (std::size_t i = 0; i < 4 && !p.rules.empty(); ++i) {
+      const Rule& rule = p.rules.at(rng.uniform(0, p.rules.size() - 1));
+      probes.push_back(rule.match.sample_point(rng));
+    }
+  }
+  for (const auto& packet : probes) {
+    for (const auto& p : plan.partitions()) {
+      const auto want = p.rules.match_index(packet);
+      const auto got = p.match_index(packet);
+      if (want != got) {
+        std::ostringstream os;
+        os << which << " plan, partition " << p.id << ": linear "
+           << (want ? describe(&p.rules.at(*want)) : "<none>") << " vs tree "
+           << (got ? describe(&p.rules.at(*got)) : "<none>");
+        return os.str();
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+Violation check_partition_trees(const Counterexample& cex,
+                                const PartitionerParams& params,
+                                std::uint32_t authority_count,
+                                std::uint64_t sample_seed, std::size_t samples) {
+  const RuleTable policy = cex.table();
+  const auto probes = probes_for(cex, policy, sample_seed, samples);
+  Rng rng(sample_seed ^ 0x7ee5);
+
+  // A copy must not depend on the plan it was copied from: destroy the
+  // original first, so a tree that pointed into its rules would read freed
+  // memory.
+  auto original =
+      std::make_unique<PartitionPlan>(Partitioner(params).build(policy, authority_count));
+  const PartitionPlan copy = *original;
+  if (Violation v = trees_agree(*original, "partitioner", probes, rng)) return v;
+  original.reset();
+  if (Violation v = trees_agree(copy, "copied", probes, rng)) return v;
+
+  std::vector<Rule> base(cex.rules.begin(),
+                         cex.rules.begin() + static_cast<std::ptrdiff_t>(
+                                                 (cex.rules.size() + 1) / 2));
+  IncrementalPartitioner inc(RuleTable{base}, params, authority_count);
+  for (std::size_t i = base.size(); i < cex.rules.size(); ++i) inc.insert(cex.rules[i]);
+  for (std::size_t i = base.size(); i < cex.rules.size(); i += 3) {
+    inc.remove(cex.rules[i].id);
+  }
+  return trees_agree(inc.snapshot(), "incremental", probes, rng);
 }
 
 Violation check_cache_vs_authority(const Counterexample& cex,

@@ -75,6 +75,18 @@ Violation check_partition(const Counterexample& cex, const PartitionerParams& pa
                           std::uint32_t authority_count, std::uint64_t sample_seed,
                           std::size_t samples);
 
+// (3b) Every partition's decision tree resolves a packet to the same rule
+// as the linear scan of its clipped table (RuleTable::match_index), on every
+// probe and in every partition, not only the one owning the probe. Checked
+// on a Partitioner plan, on an IncrementalPartitioner snapshot after churn
+// (the check_incremental schedule), and on a copy of a plan whose original
+// has been destroyed. Probes: cex.packets, boundary samples, and points
+// sampled inside each partition's own clipped rules.
+Violation check_partition_trees(const Counterexample& cex,
+                                const PartitionerParams& params,
+                                std::uint32_t authority_count,
+                                std::uint64_t sample_seed, std::size_t samples);
+
 struct CacheChurnParams {
   CacheStrategy strategy = CacheStrategy::kDependentSet;
   std::size_t cache_capacity = 8;     // small: forces LRU eviction

@@ -2,6 +2,7 @@
 
 #include "classifier/dtree.hpp"
 #include "classifier/linear.hpp"
+#include "flowspace/header.hpp"
 #include "workload/rulegen.hpp"
 
 namespace difane {
@@ -20,8 +21,9 @@ TEST(Linear, CountsLookups) {
 }
 
 TEST(DTree, EmptyTableClassifiesNull) {
-  DTreeClassifier c{RuleTable{}};
-  EXPECT_EQ(c.classify(BitVec{}), nullptr);
+  const RuleTable empty;
+  DTreeClassifier c{empty};
+  EXPECT_EQ(c.classify(empty, BitVec{}), nullptr);
 }
 
 TEST(DTree, SingleRule) {
@@ -33,10 +35,10 @@ TEST(DTree, SingleRule) {
   r.action = Action::drop();
   t.add(r);
   DTreeClassifier c(t);
-  const Rule* hit = c.classify(PacketBuilder().ip_proto(6).build());
+  const Rule* hit = c.classify(t, PacketBuilder().ip_proto(6).build());
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->id, 1u);
-  EXPECT_EQ(c.classify(PacketBuilder().ip_proto(17).build()), nullptr);
+  EXPECT_EQ(c.classify(t, PacketBuilder().ip_proto(17).build()), nullptr);
 }
 
 TEST(DTree, StatsAreConsistent) {
@@ -76,7 +78,7 @@ TEST_P(DTreeEquivalence, MatchesLinearReference) {
       pkt = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
     }
     const Rule* a = linear.classify(pkt);
-    const Rule* b = tree.classify(pkt);
+    const Rule* b = tree.classify(policy, pkt);
     ASSERT_EQ(a == nullptr, b == nullptr);
     if (a != nullptr) {
       EXPECT_EQ(a->id, b->id);
@@ -101,12 +103,12 @@ TEST(ChooseCutBit, PicksSeparatingBit) {
   match_exact(b.match, Field::kIpProto, 17);
   t.add(a);
   t.add(b);
-  std::vector<const Rule*> rules{&t.at(0), &t.at(1)};
-  std::size_t n0 = 0, n1 = 0;
-  const int bit = choose_cut_bit(rules, 1.0, &n0, &n1);
-  ASSERT_GE(bit, 0);
+  CutBitCounts counts;
+  for (const auto& rule : t.rules()) counts.add(rule.match);
+  const CutChoice cut = best_cut(counts, used_header_mask(), 1.0);
+  ASSERT_GE(cut.bit, 0);
   // 6 = 0b00110, 17 = 0b10001 differ in proto bits 0,1,2,4.
-  EXPECT_EQ(n0 + n1, 2u);  // clean separation, no duplication
+  EXPECT_EQ(cut.n0 + cut.n1, 2u);  // clean separation, no duplication
 }
 
 TEST(ChooseCutBit, NoSeparatingBitReturnsMinusOne) {
@@ -115,8 +117,9 @@ TEST(ChooseCutBit, NoSeparatingBitReturnsMinusOne) {
   a.id = 0;
   a.priority = 1;
   t.add(a);  // one full-wildcard rule: nothing separates it
-  std::vector<const Rule*> rules{&t.at(0)};
-  EXPECT_EQ(choose_cut_bit(rules, 1.0), -1);
+  CutBitCounts counts;
+  counts.add(t.at(0).match);
+  EXPECT_EQ(best_cut(counts, used_header_mask(), 1.0).bit, -1);
 }
 
 }  // namespace

@@ -12,6 +12,10 @@
 // than the host's cache hierarchy. A linear scan of the cache band gives
 // about 64x on the lookup ratio; an indexed table stays near 1.
 //
+// The authority side is held to the same standard: resolving a redirected
+// packet in a partition of 16K campus rules must cost about what it costs
+// in one of 1K. A linear scan of the partition gives about 16x.
+//
 // Labelled `perf`: excluded from sanitizer runs, where wall ratios mean
 // nothing.
 #include <gtest/gtest.h>
@@ -21,9 +25,12 @@
 #include <limits>
 #include <vector>
 
+#include "core/authority.hpp"
 #include "core/cache.hpp"
+#include "partition/partitioner.hpp"
 #include "switchsim/flow_table.hpp"
 #include "util/rng.hpp"
+#include "workload/rulegen.hpp"
 
 namespace difane {
 namespace {
@@ -158,6 +165,54 @@ class InstallEvictPoint {
   double now_ = 0.0;
 };
 
+// Redirects resolved by an authority switch serving one partition that
+// holds a whole campus policy of `rules` rules, with microflow installs.
+// Headers are sampled inside the policy's rules, a fixed working set of
+// kWorkingSet at every size.
+class AuthorityPoint {
+ public:
+  explicit AuthorityPoint(std::size_t rules)
+      : policy_(campus_like(rules, 0xa17)),
+        plan_(Partitioner(one_partition(rules)).build(policy_, 1)),
+        node_(1, CacheStrategy::kMicroflow) {
+    EXPECT_EQ(plan_.partitions().size(), 1u);
+    node_.bind(plan_.partitions()[0], 1u << 20);
+    Rng rng(0x5ca1e);
+    for (std::size_t i = 0; i < kWorkingSet; ++i) {
+      probes_.push_back(
+          policy_.at(rng.uniform(0, policy_.size() - 1)).match.sample_point(rng));
+    }
+  }
+
+  double run(int) {
+    std::size_t resolved = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (const BitVec& p : probes_) {
+        const auto result = node_.handle(p);
+        if (result.has_value() && result->winner != nullptr) ++resolved;
+      }
+    }
+    const double secs = seconds_since(start);
+    EXPECT_EQ(resolved, kRounds * probes_.size()) << "every probe hits a rule";
+    return secs * 1e9 / static_cast<double>(kRounds * probes_.size());
+  }
+
+ private:
+  static PartitionerParams one_partition(std::size_t rules) {
+    PartitionerParams params;
+    params.capacity = rules;
+    return params;
+  }
+
+  static constexpr std::size_t kWorkingSet = 1024;
+  static constexpr std::size_t kRounds = 8;
+  RuleTable policy_;
+  PartitionPlan plan_;
+  AuthorityNode node_;
+  std::vector<BitVec> probes_;
+};
+
 TEST(FlowTableScaling, LookupCostFlatFrom1KTo64KEntries) {
   LookupPoint small(1024);
   LookupPoint large(65536);
@@ -178,6 +233,17 @@ TEST(FlowTableScaling, InstallEvictCostFlatFrom512To32KEntries) {
   EXPECT_LT(large_ns / small_ns, kMaxRatio)
       << "install+evict: " << small_ns << " ns at 512 entries, " << large_ns
       << " ns at 32K entries";
+}
+
+TEST(FlowTableScaling, AuthorityResolveCostFlatFrom1KTo16KRules) {
+  AuthorityPoint small(1024);
+  AuthorityPoint large(16384);
+  const auto [small_ns, large_ns] = min_ns(small, large);
+  RecordProperty("authority_resolve_ns_1k", std::to_string(small_ns));
+  RecordProperty("authority_resolve_ns_16k", std::to_string(large_ns));
+  EXPECT_LT(large_ns / small_ns, kMaxRatio)
+      << "authority resolve: " << small_ns << " ns at 1K rules, " << large_ns
+      << " ns at 16K rules";
 }
 
 }  // namespace

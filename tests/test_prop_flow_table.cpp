@@ -421,14 +421,18 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
       ASSERT_EQ(pa == nullptr, pb == nullptr) << report("peek");
       const bool peek_hit = pa != nullptr;
       const RuleId peek_id = peek_hit ? pa->rule.id : kInvalidRuleId;
-      if (peek_hit) ASSERT_EQ(peek_id, pb->rule.id) << report("peek");
+      if (peek_hit) {
+        ASSERT_EQ(peek_id, pb->rule.id) << report("peek");
+      }
       // Capture peek results by value: lookup's sweep below may relocate or
       // erase entries, invalidating the peeked pointers.
       const std::uint64_t cascades_before = table.stats().cascade_evictions;
       const FlowEntry* la = table.lookup(pkt, now, 7);
       const FlowEntry* lb = ref.lookup(pkt, now, 7);
       ASSERT_EQ(la == nullptr, lb == nullptr) << report("lookup");
-      if (la != nullptr) ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
+      if (la != nullptr) {
+        ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
+      }
       // peek and lookup share live_match, so at one instant they agree on
       // the winner — unless the sweep's safety cascade just removed live
       // dependents of an expired guard (then lookup legitimately sees a

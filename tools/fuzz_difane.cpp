@@ -86,7 +86,8 @@ std::optional<std::string> run_partition(Rng& rng, std::uint64_t case_seed) {
   return fail_report(
       "partition", case_seed,
       [&](const Counterexample& c) {
-        return check_partition(c, pp, k, case_seed ^ 0xabcd, 32);
+        if (Violation v = check_partition(c, pp, k, case_seed ^ 0xabcd, 32)) return v;
+        return check_partition_trees(c, pp, k, case_seed ^ 0xabcd, 32);
       },
       cex);
 }
