@@ -84,8 +84,8 @@ static_assert(Engine::Handler::fits_inline<Hop>,
               "A3's representative event capture must use the inline path");
 
 // Burst-dispatch variant of Hop: one firing performs up to `burst` payload
-// ops before rescheduling, modelling the coalesced burst events of the
-// burst-mode data plane — the event-dispatch cost (heap pop, slot recycle,
+// ops before rescheduling, modelling an ingress arrival stream that drains
+// a burst per event — the event-dispatch cost (heap pop, slot recycle,
 // callable move) amortizes over the whole burst.
 struct BurstHop {
   Engine* eng;

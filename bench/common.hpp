@@ -44,8 +44,8 @@ struct Args {
   // serial order, so every deterministic metric is identical at any thread
   // count — check.sh gates on exactly that.
   int threads = 1;
-  // Burst-mode data plane for every Scenario the bench builds (0 = scalar
-  // path). Deterministic metrics are burst-invariant by contract;
+  // Arrivals one ingress event drains, for every Scenario the bench builds
+  // (0 means 1). Deterministic metrics are burst-invariant by contract;
   // check.sh --burst gates bench_all at 0 vs 32 on exactly that.
   int burst = 0;
 
@@ -66,8 +66,8 @@ struct Args {
                "  --quick        reduced problem sizes (CI smoke mode)\n"
                "  --threads N    run independent sweep cells on N worker threads\n"
                "                 (deterministic metrics are thread-count invariant)\n"
-               "  --burst N      burst-mode data plane, N packets per burst\n"
-               "                 (0 = scalar; deterministic metrics are\n"
+               "  --burst N      drain up to N arrivals per ingress event\n"
+               "                 (0 means 1; deterministic metrics are\n"
                "                 burst-invariant)\n",
                bench_id, bench_id);
   std::exit(exit_code);

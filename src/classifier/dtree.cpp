@@ -143,15 +143,7 @@ std::optional<std::size_t> DTreeClassifier::match_index(const RuleTable& table,
   const Node& leaf = nodes_[at];
   const auto& rules = table.rules();
   for (std::uint32_t i = leaf.leaf_begin; i < leaf.leaf_end; ++i) {
-    // Ternary::matches as one OR-reduction. At -O2, GCC compiles the
-    // early-exit is_zero() here to a vector spill and a word loop; this form
-    // made E10's tree lookups ~1.6x faster.
-    const Ternary& m = rules[leaf_refs_[i]].match;
-    std::uint64_t mismatch = 0;
-    for (std::size_t w = 0; w < kHeaderWords; ++w) {
-      mismatch |= (packet.w[w] ^ m.value().w[w]) & m.care().w[w];
-    }
-    if (mismatch == 0) return leaf_refs_[i];
+    if (rules[leaf_refs_[i]].match.matches(packet)) return leaf_refs_[i];
   }
   return std::nullopt;
 }

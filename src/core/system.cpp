@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "partition/migration.hpp"
 #include "util/contract.hpp"
@@ -820,11 +821,7 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
       stats_.cache_entries_final = live_cache_entries(net_.engine().now());
     });
   }
-  if (params_.burst > 0) {
-    inject_bursts(flows);
-  } else {
-    for (const auto& flow : flows) inject(flow);
-  }
+  stream_arrivals(flows);
   if (exec_ != nullptr) {
     // Routes must exist before shard threads read next_hop() concurrently;
     // they are recomputed at the barrier after any window that ran global
@@ -835,6 +832,8 @@ const ScenarioStats& Scenario::run(const std::vector<FlowSpec>& flows) {
   } else {
     net_.engine().run();
   }
+  arrival_streams_.clear();
+  flows_ = nullptr;
   ensures(stats_.tracer.in_flight() == 0,
           "Scenario: packets unaccounted for after the run");
   if (params_.occupancy_sample_at < 0.0) {
@@ -897,70 +896,63 @@ VerifyReport Scenario::verify_installed(std::size_t samples_per_ingress,
   return verify_installed_state(net_, *difane_, policy_, topo_.edge, vp);
 }
 
-void Scenario::inject(const FlowSpec& flow) {
-  const SwitchId ingress = ingress_switch(flow.ingress_index);
-  for (std::size_t p = 0; p < flow.packets; ++p) {
-    Packet pkt;
-    pkt.flow = flow.id;
-    pkt.header = flow.header;
-    pkt.created = flow.start + static_cast<double>(p) * flow.packet_gap;
-    pkt.ingress = ingress;
-    pkt.is_first_of_flow = (p == 0);
-    schedule_at_switch(ingress, pkt.created, [this, ingress, pkt]() {
-      st().tracer.on_injected(pkt);
-      process(ingress, pkt);
-    });
+// Expand `flows` into one time-sorted arrival list per ingress and put only
+// each list's earliest arrival on the ingress's engine. Seqs are reserved per
+// engine in flow-major order — the order injection once scheduled one event
+// per packet in — so every arrival ties exactly where that event would have
+// (ArrivalStream), under the sharded executor too: each shard engine reserves
+// the block for its own ingresses.
+void Scenario::stream_arrivals(const std::vector<FlowSpec>& flows) {
+  expects(flows.size() <= std::numeric_limits<std::uint32_t>::max(),
+          "Scenario::run: too many flows for one run");
+  const std::size_t edges = topo_.edge.size();
+  // One seq block per engine: each shard's, or net_.engine() alone.
+  const auto shard = [this](std::size_t g) -> std::size_t {
+    return exec_ != nullptr ? shard_of_[topo_.edge[g]] : 0;
+  };
+  std::vector<std::uint64_t> next_seq(exec_ != nullptr ? exec_->shards() : 1, 0);
+  std::vector<std::size_t> sizes(edges, 0);
+  for (const FlowSpec& flow : flows) {
+    const std::size_t g = flow.ingress_index % edges;
+    sizes[g] += flow.packets;
+    next_seq[shard(g)] += flow.packets;
   }
-}
-
-void Scenario::inject_bursts(const std::vector<FlowSpec>& flows) {
-  burst_plan_ = coalesce_bursts(
-      flows, static_cast<std::uint32_t>(topo_.edge.size()), params_.burst);
-  for (const auto& b : burst_plan_.bursts) {
-    const SwitchId ingress = topo_.edge[b.group];
-    const double when = burst_plan_.groups[b.group][b.begin].at;
-    auto handler = [this, b]() { process_burst(b.group, b.begin, b.end); };
-    static_assert(Engine::Handler::fits_inline<decltype(handler)>,
-                  "burst event handler must not allocate");
-    schedule_at_switch(ingress, when, std::move(handler));
+  for (std::size_t s = 0; s < next_seq.size(); ++s) {
+    Engine& e = exec_ != nullptr ? exec_->shard_engine(s) : net_.engine();
+    next_seq[s] = e.reserve_seqs(next_seq[s]);
   }
-}
-
-// Drain one burst's arrivals, one packet at a time, at each packet's own
-// clock. Two deferral rules keep event interleaving — and therefore every
-// observable stream — byte-identical to the scalar per-packet path:
-//  * an engine event pending strictly before the next arrival runs first
-//    (the scalar heap would pop it first; at equal times the packet wins
-//    the FIFO tie-break, exactly like the inject-time event it replaces);
-//  * an arrival at or past the engine's horizon belongs to a later window
-//    (run_before would not have popped its per-packet event).
-// Either way the remainder reschedules at the next arrival's own time, so
-// the shard's peek_time() sequence — which sizes conservative windows —
-// also matches the scalar run's.
-void Scenario::process_burst(std::uint32_t group, std::uint32_t begin,
-                             std::uint32_t end) {
-  const auto& arrivals = burst_plan_.groups[group];
-  const SwitchId at = topo_.edge[group];
-  for (std::uint32_t k = begin; k < end; ++k) {
-    const auto& a = arrivals[k];
-    Engine& eng = cur_engine();
-    if (eng.peek_time() < a.at || a.at >= eng.horizon()) {
-      auto cont = [this, group, k, end]() { process_burst(group, k, end); };
-      static_assert(Engine::Handler::fits_inline<decltype(cont)>,
-                    "burst continuation must not allocate");
-      schedule_at_switch(at, a.at, std::move(cont));
-      return;
+  std::vector<std::vector<Arrival>> lists(edges);
+  for (std::size_t g = 0; g < edges; ++g) lists[g].reserve(sizes[g]);
+  for (std::size_t f = 0; f < flows.size(); ++f) {
+    const FlowSpec& flow = flows[f];
+    const std::size_t g = flow.ingress_index % edges;
+    std::uint64_t& seq = next_seq[shard(g)];
+    for (std::size_t p = 0; p < flow.packets; ++p) {
+      lists[g].push_back(Arrival{flow.start + static_cast<double>(p) * flow.packet_gap,
+                                 seq++, static_cast<std::uint32_t>(f),
+                                 static_cast<std::uint32_t>(p)});
     }
-    eng.advance_to(a.at);
-    Packet pkt;
-    pkt.flow = a.flow;
-    pkt.header = a.header;
-    pkt.created = a.at;
-    pkt.ingress = at;
-    pkt.is_first_of_flow = a.first;
-    st().tracer.on_injected(pkt);
-    process(at, pkt);
   }
+  flows_ = &flows;
+  for (std::size_t g = 0; g < edges; ++g) {
+    if (lists[g].empty()) continue;
+    const SwitchId ingress = topo_.edge[g];
+    arrival_streams_.push_back(std::make_unique<ArrivalStream<IngressSink>>(
+        engine_of(ingress), std::move(lists[g]), params_.burst,
+        IngressSink{this, ingress}));
+  }
+}
+
+void Scenario::inject(SwitchId ingress, const Arrival& a) {
+  const FlowSpec& flow = (*flows_)[a.source];
+  Packet pkt;
+  pkt.flow = flow.id;
+  pkt.header = flow.header;
+  pkt.created = a.at;
+  pkt.ingress = ingress;
+  pkt.is_first_of_flow = a.index == 0;
+  st().tracer.on_injected(pkt);
+  process(ingress, std::move(pkt));
 }
 
 void Scenario::dispose(const Packet& pkt, bool delivered, DropReason reason) {
@@ -1330,12 +1322,11 @@ void Scenario::forward_hop(SwitchId at, SwitchId toward, Packet pkt) {
     dispose(pkt, false, DropReason::kTtlExceeded);
     return;
   }
-  const SwitchId nh = net_.next_hop(at, toward);
+  const auto [nh, link] = net_.hop(at, toward);
   if (nh == kInvalidSwitch) {
     dispose(pkt, false, DropReason::kUnreachable);
     return;
   }
-  Link* link = net_.link(at, nh);
   ensures(link != nullptr, "forward_hop: next hop without a link");
   if (!link->up()) {
     // Raced a link flap: routes recompute around a downed link, but a packet

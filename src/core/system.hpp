@@ -170,15 +170,14 @@ struct ScenarioParams {
   // "Parallel execution" section.
   std::size_t threads = 1;
 
-  // Burst-mode data plane (NDN-DPDK shape). 0 (the default) schedules one
-  // engine event per injected packet — the classic scalar path. N > 0
-  // coalesces up to N consecutive same-ingress packet arrivals into one
-  // burst event whose handler runs the scalar per-packet path for each of
-  // them at the packet's own advanced clock, so the engine heap holds one
-  // event per burst instead of one per packet. Observable behavior — stats,
-  // telemetry export stream, verifier state, Rng draw order — is
-  // byte-identical to the scalar path; test_prop_burst replays 110 seeds
-  // against exactly that contract. Typical sweet spot: 32–64.
+  // Most arrivals one ingress event drains (NDN-DPDK-style bursts); 0 means
+  // 1. Injection never pre-schedules packets: each ingress keeps one pending
+  // engine event for its next arrival (see ArrivalStream), and a drain stops
+  // early whenever another event or the window horizon comes first, so any
+  // value is byte-identical on stats, telemetry export stream, verifier
+  // state and Rng draw order; test_prop_burst replays 110 seeds against
+  // exactly that contract. It only trades heap operations for a longer
+  // handler: typical values are 0 or 32.
   std::size_t burst = 0;
 
   // Capacity (power of two) of each shard's SPSC outbox ring in the sharded
@@ -430,17 +429,16 @@ class Scenario {
   void send_export(SwitchId sw, std::vector<obs::FlowExportRecord> records);
   void on_cache_removed(SwitchId sw, const FlowEntry& entry);
   void finalize_measurement();
-  void inject(const FlowSpec& flow);
+  // Packet injection: one ArrivalStream per ingress over the flows of the
+  // current run() (see stream_arrivals in system.cpp).
+  struct IngressSink {
+    Scenario* scenario;
+    SwitchId ingress;
+    void operator()(const Arrival& a) const { scenario->inject(ingress, a); }
+  };
+  void stream_arrivals(const std::vector<FlowSpec>& flows);
+  void inject(SwitchId ingress, const Arrival& a);
   void process(SwitchId at, Packet pkt);
-  // Burst-mode data plane (params_.burst > 0): one engine event per burst of
-  // consecutive same-ingress arrivals instead of one per packet. The handler
-  // advances the clock packet by packet, deferring the remainder whenever an
-  // earlier engine event is pending or the window horizon is reached — so
-  // event interleaving, and with it every observable stream, matches the
-  // scalar path.
-  void inject_bursts(const std::vector<FlowSpec>& flows);
-  void process_burst(std::uint32_t group, std::uint32_t begin,
-                     std::uint32_t end);
   void handle_authority(SwitchId at, Packet pkt);
   void punt_to_controller(Packet pkt);
   void apply_action(SwitchId at, Packet pkt, const Action& action);
@@ -524,9 +522,10 @@ class Scenario {
   std::unique_ptr<shard::Executor> exec_;
   std::vector<std::uint32_t> shard_of_;   // switch -> shard
   std::uint32_t ctrl_shard_ = 0;          // NOX controller's home shard
-  // Burst-mode arrival schedule (params_.burst > 0 only): stable storage the
-  // burst handlers index into, so each event captures just {group, range}.
-  BurstPlan burst_plan_;
+  // The flows of the run() in progress and one arrival stream per ingress
+  // that has traffic; arrivals index into *flows_ instead of copying it.
+  const std::vector<FlowSpec>* flows_ = nullptr;
+  std::vector<std::unique_ptr<ArrivalStream<IngressSink>>> arrival_streams_;
   // Live-migration state (params_.migration.enabled only; all empty
   // otherwise so the migration-off path is byte-identical to before).
   // Mutated exclusively from global events. Slots are stable for the run so

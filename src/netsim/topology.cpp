@@ -62,8 +62,12 @@ void Network::set_link_failed(SwitchId a, SwitchId b, bool down) {
 void Network::recompute_routes() {
   const std::size_t n = switches_.size();
   const auto unreachable = std::numeric_limits<std::size_t>::max();
-  next_.assign(n, std::vector<SwitchId>(n, kInvalidSwitch));
-  dist_.assign(n, std::vector<std::size_t>(n, unreachable));
+  next_.resize(n);
+  dist_.resize(n);
+  for (SwitchId to = 0; to < n; ++to) {
+    next_[to].assign(n, Hop{});
+    dist_[to].assign(n, unreachable);
+  }
   // BFS from each destination over reverse edges (links are symmetric here),
   // recording the next hop toward the destination.
   for (SwitchId to = 0; to < n; ++to) {
@@ -71,7 +75,7 @@ void Network::recompute_routes() {
     auto& nxt = next_[to];
     auto& dst = dist_[to];
     dst[to] = 0;
-    nxt[to] = to;
+    nxt[to].next = to;
     std::deque<SwitchId> queue{to};
     while (!queue.empty()) {
       const SwitchId at = queue.front();
@@ -87,7 +91,8 @@ void Network::recompute_routes() {
         if (link_it == links_.end() || !link_it->second->up()) continue;
         if (dst[neighbor] != unreachable) continue;
         dst[neighbor] = dst[at] + 1;
-        nxt[neighbor] = at;  // from `neighbor`, step to `at` toward `to`
+        // From `neighbor`, step to `at` toward `to`.
+        nxt[neighbor] = Hop{at, link_it->second.get()};
         queue.push_back(neighbor);
       }
     }
@@ -95,7 +100,7 @@ void Network::recompute_routes() {
   routes_valid_ = true;
 }
 
-SwitchId Network::next_hop(SwitchId from, SwitchId to) {
+Network::Hop Network::hop(SwitchId from, SwitchId to) {
   expects(from < switches_.size() && to < switches_.size(), "next_hop: bad ids");
   if (!routes_valid_) recompute_routes();
   return next_[to][from];

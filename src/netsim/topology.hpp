@@ -41,7 +41,17 @@ class Network {
   // Next hop on a shortest path (hop count) from `from` toward `to`, skipping
   // failed switches; kInvalidSwitch if unreachable. Routes are recomputed
   // lazily after topology or failure changes.
-  SwitchId next_hop(SwitchId from, SwitchId to);
+  SwitchId next_hop(SwitchId from, SwitchId to) { return hop(from, to).next; }
+  // The same step with the (from, next) link resolved at route time, so the
+  // per-packet forwarding path does no link-map lookup. `link` is null when
+  // next is kInvalidSwitch or from == to. Routes, and with them these
+  // pointers, recompute after every link flap or failure; a Link's state
+  // (up/down) is read live.
+  struct Hop {
+    SwitchId next = kInvalidSwitch;
+    Link* link = nullptr;
+  };
+  Hop hop(SwitchId from, SwitchId to);
   // Hop distance, or SIZE_MAX if unreachable.
   std::size_t distance(SwitchId from, SwitchId to);
 
@@ -66,8 +76,8 @@ class Network {
   Engine engine_;
   std::vector<std::unique_ptr<Switch>> switches_;
   std::map<std::pair<SwitchId, SwitchId>, std::unique_ptr<Link>> links_;
-  // next_[to][from] = next hop from `from` toward `to`.
-  std::vector<std::vector<SwitchId>> next_;
+  // next_[to][from] = next hop (and its link) from `from` toward `to`.
+  std::vector<std::vector<Hop>> next_;
   std::vector<std::vector<std::size_t>> dist_;
   bool routes_valid_ = false;
 };

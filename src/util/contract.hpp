@@ -14,22 +14,22 @@ class contract_violation : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+// Throws the contract_violation for a failed check: `what` plus the
+// file:line of the check. Out of line and cold, so a check inlines to one
+// compare-and-branch and its message is built only when it fails.
+[[noreturn, gnu::cold]] void contract_failed(const char* what,
+                                             std::source_location loc);
+
 // Precondition: the caller must satisfy `cond` before invoking the operation.
 inline void expects(bool cond, const char* what = "precondition violated",
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw contract_violation(std::string(what) + " at " + loc.file_name() + ":" +
-                             std::to_string(loc.line()));
-  }
+  if (!cond) [[unlikely]] contract_failed(what, loc);
 }
 
 // Postcondition: the implementation guarantees `cond` on exit.
 inline void ensures(bool cond, const char* what = "postcondition violated",
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw contract_violation(std::string(what) + " at " + loc.file_name() + ":" +
-                             std::to_string(loc.line()));
-  }
+  if (!cond) [[unlikely]] contract_failed(what, loc);
 }
 
 // A rejected configuration: some parameter struct (ScenarioParams and

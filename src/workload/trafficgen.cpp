@@ -320,39 +320,4 @@ std::vector<FlowTruth> flow_ground_truth(const std::vector<FlowSpec>& flows,
   return truth;
 }
 
-BurstPlan coalesce_bursts(const std::vector<FlowSpec>& flows,
-                          std::uint32_t ingress_groups, std::size_t burst) {
-  expects(ingress_groups > 0, "coalesce_bursts: need at least one ingress");
-  expects(burst > 0, "coalesce_bursts: burst size must be positive");
-  BurstPlan plan;
-  plan.groups.resize(ingress_groups);
-  // Flow-major expansion, matching the order Scenario::inject schedules
-  // per-packet events in — a stable sort by arrival time then reproduces the
-  // scalar engine's FIFO tie-break (equal-time packets keep inject order).
-  for (const FlowSpec& flow : flows) {
-    auto& group = plan.groups[flow.ingress_index % ingress_groups];
-    for (std::size_t p = 0; p < flow.packets; ++p) {
-      BurstPlan::Arrival a;
-      a.flow = flow.id;
-      a.header = flow.header;
-      a.at = flow.start + static_cast<double>(p) * flow.packet_gap;
-      a.first = p == 0;
-      group.push_back(std::move(a));
-    }
-  }
-  for (std::uint32_t g = 0; g < ingress_groups; ++g) {
-    auto& group = plan.groups[g];
-    std::stable_sort(group.begin(), group.end(),
-                     [](const BurstPlan::Arrival& a, const BurstPlan::Arrival& b) {
-                       return a.at < b.at;
-                     });
-    for (std::size_t begin = 0; begin < group.size(); begin += burst) {
-      const std::size_t end = std::min(group.size(), begin + burst);
-      plan.bursts.push_back(BurstPlan::Burst{
-          g, static_cast<std::uint32_t>(begin), static_cast<std::uint32_t>(end)});
-    }
-  }
-  return plan;
-}
-
 }  // namespace difane

@@ -124,31 +124,4 @@ class TrafficGenerator {
   std::shared_ptr<const std::vector<BitVec>> pool_;
 };
 
-// ---- Burst coalescing for the burst-mode data plane -------------------------
-// Expanded per-packet arrival schedule: every packet of every flow, grouped
-// by ingress (flows whose ingress_index is congruent modulo `ingress_groups`
-// land on the same switch), each group stably sorted by arrival time —
-// expansion is flow-major, so ties keep the scalar inject order — then
-// chunked into bursts of at most `burst` packets. The scenario turns each
-// burst into ONE engine event instead of one event per packet.
-struct BurstPlan {
-  struct Arrival {
-    std::uint64_t flow = 0;
-    BitVec header;
-    double at = 0.0;
-    bool first = false;  // first packet of its flow
-  };
-  // [begin, end) into groups[group]; consecutive packets of one ingress.
-  struct Burst {
-    std::uint32_t group = 0;
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  std::vector<std::vector<Arrival>> groups;  // one arrival list per ingress
-  std::vector<Burst> bursts;
-};
-
-BurstPlan coalesce_bursts(const std::vector<FlowSpec>& flows,
-                          std::uint32_t ingress_groups, std::size_t burst);
-
 }  // namespace difane

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <ostream>
+#include <utility>
+
 #include "netsim/link.hpp"
 #include "netsim/topology.hpp"
 #include "netsim/tracer.hpp"
+#include "proptest/property.hpp"
 
 namespace difane {
 namespace {
@@ -125,6 +131,170 @@ TEST(Engine, ClearMidRunDropsPendingButKeepsClock) {
   e.run();
   EXPECT_EQ(fired, 2);
   EXPECT_DOUBLE_EQ(e.now(), 5.0);
+}
+
+TEST(Engine, ReservedSeqsAreTheOnlyOnesAtWithSeqAccepts) {
+  Engine e;
+  EXPECT_THROW(e.at(1.0, 0, [] {}), contract_violation);  // nothing reserved
+  e.at(1.0, [] {});                                        // takes seq 0
+  const std::uint64_t base = e.reserve_seqs(3);
+  EXPECT_EQ(base, 1u);
+  EXPECT_THROW(e.at(1.0, base - 1, [] {}), contract_violation);
+  EXPECT_THROW(e.at(1.0, base + 3, [] {}), contract_violation);
+  EXPECT_NO_THROW(e.at(1.0, base + 2, [] {}));
+  // A new block retires the old one.
+  const std::uint64_t next = e.reserve_seqs(1);
+  EXPECT_EQ(next, base + 3);
+  EXPECT_THROW(e.at(1.0, base, [] {}), contract_violation);
+  EXPECT_NO_THROW(e.at(1.0, next, [] {}));
+  e.run();
+  const std::uint64_t late = e.reserve_seqs(1);
+  EXPECT_THROW(e.at(0.5, late, [] {}), contract_violation);  // still no past
+}
+
+TEST(Engine, ReservedSeqOrdersBeforeLaterSchedulesAtTheSameTime) {
+  Engine e;
+  std::vector<int> order;
+  const std::uint64_t seq = e.reserve_seqs(1);
+  EXPECT_TRUE(e.before_pending(1.0, seq));  // empty heap
+  e.at(1.0, [&] { order.push_back(1); });  // scheduled after the reservation
+  EXPECT_TRUE(e.before_pending(1.0, seq));
+  EXPECT_FALSE(e.before_pending(1.0, seq + 1));
+  EXPECT_FALSE(e.before_pending(2.0, 0));
+  e.at(1.0, seq, [&] { order.push_back(0); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+// Differential oracle for arrival streaming. A random event program — setup
+// events, flows of arrivals on several streams, handlers that schedule
+// children at now() and later, all on a coarse time grid so ties are common
+// — runs twice: once with one eagerly scheduled event per arrival, once with
+// seqs reserved up front and the arrivals fed lazily by ArrivalStreams (a
+// random drain cap, run through a few run_before windows and then run()).
+// Both must fire the same handlers in the same order at the same clocks.
+class EventProgram {
+ public:
+  explicit EventProgram(std::uint64_t seed) : seed_(seed) {}
+
+  struct Firing {
+    std::uint64_t id;
+    SimTime now;
+    bool operator==(const Firing&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Firing& f) {
+      return os << "event " << std::hex << f.id << std::dec << " at " << f.now;
+    }
+  };
+
+  Engine& engine() { return engine_; }
+  const std::vector<Firing>& log() const { return log_; }
+
+  // Log the event, then schedule 0-2 children (fewer with depth) at a delay
+  // of 0, 0.5 or 1 — a pure function of (seed, id), so both runs agree.
+  void fire(std::uint64_t id, int depth) {
+    log_.push_back(Firing{id, engine_.now()});
+    std::uint64_t h = seed_ ^ (id * 0x9e3779b97f4a7c15ULL);
+    const std::uint64_t draw = splitmix64(h);
+    const int children = depth >= 3 ? 0 : static_cast<int>(draw % 3);
+    for (int c = 0; c < children; ++c) {
+      static constexpr SimTime kDelays[] = {0.0, 0.0, 0.5, 1.0};
+      const SimTime delay = kDelays[(draw >> (8 + 2 * c)) & 3];
+      const std::uint64_t child = id * 4 + static_cast<std::uint64_t>(c) + 1;
+      engine_.at(engine_.now() + delay,
+                 [this, child, depth] { fire(child, depth + 1); });
+    }
+  }
+
+ private:
+  Engine engine_;
+  std::uint64_t seed_;
+  std::vector<Firing> log_;
+};
+
+struct ProgramArrival {
+  SimTime at;
+  std::uint32_t stream;
+};
+
+// Ids: setup events and arrivals get disjoint high tags; children derive
+// from their parent's id.
+constexpr std::uint64_t kSetupTag = 1ULL << 40;
+constexpr std::uint64_t kArrivalTag = 2ULL << 40;
+
+void drive(Engine& e, const std::vector<SimTime>& windows) {
+  for (const SimTime end : windows) e.run_before(end);
+  e.run();
+}
+
+DIFANE_PROPERTY(ArrivalStreamsMatchEagerScheduling, 400) {
+  const std::uint64_t seed = ctx.rng.next_u64();
+  const auto grid = [&ctx](std::uint64_t cells) {
+    return 0.5 * static_cast<double>(ctx.rng.uniform(0, cells));
+  };
+  std::vector<SimTime> setup(ctx.rng.uniform(0, 6));
+  for (auto& t : setup) t = grid(12);
+  // Flow-major arrivals: each flow has a start, a packet count and a gap
+  // (0 puts a flow's packets at one instant).
+  std::vector<ProgramArrival> arrivals;
+  const std::uint32_t streams = static_cast<std::uint32_t>(ctx.rng.uniform(1, 4));
+  const std::size_t flows = ctx.rng.uniform(1, 25);
+  for (std::size_t f = 0; f < flows; ++f) {
+    const SimTime start = grid(10);
+    const SimTime gap = grid(2);
+    const auto stream = static_cast<std::uint32_t>(ctx.rng.uniform(0, streams - 1));
+    const std::size_t packets = ctx.rng.uniform(1, 4);
+    for (std::size_t p = 0; p < packets; ++p) {
+      arrivals.push_back({start + gap * static_cast<double>(p), stream});
+    }
+  }
+  static constexpr std::size_t kCaps[] = {0, 1, 2, 3, 7, 64};
+  const std::size_t cap = kCaps[ctx.rng.uniform(0, 5)];
+  std::vector<SimTime> windows(ctx.rng.uniform(0, 3));
+  for (auto& w : windows) w = grid(16);
+  std::sort(windows.begin(), windows.end());
+
+  EventProgram eager(seed);
+  for (std::size_t i = 0; i < setup.size(); ++i) {
+    eager.engine().at(setup[i], [&eager, i] { eager.fire(kSetupTag + i, 0); });
+  }
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    eager.engine().at(arrivals[i].at,
+                      [&eager, i] { eager.fire(kArrivalTag + i, 0); });
+  }
+  drive(eager.engine(), windows);
+
+  EventProgram lazy(seed);
+  for (std::size_t i = 0; i < setup.size(); ++i) {
+    lazy.engine().at(setup[i], [&lazy, i] { lazy.fire(kSetupTag + i, 0); });
+  }
+  struct Sink {
+    EventProgram* program;
+    void operator()(const Arrival& a) const {
+      program->fire(kArrivalTag + a.source, 0);
+    }
+  };
+  const std::uint64_t base = lazy.engine().reserve_seqs(arrivals.size());
+  std::vector<std::vector<Arrival>> lists(streams);
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    lists[arrivals[i].stream].push_back(
+        Arrival{arrivals[i].at, base + i, static_cast<std::uint32_t>(i), 0});
+  }
+  std::vector<std::unique_ptr<ArrivalStream<Sink>>> fed;
+  for (auto& list : lists) {
+    if (list.empty()) continue;
+    fed.push_back(std::make_unique<ArrivalStream<Sink>>(
+        lazy.engine(), std::move(list), cap, Sink{&lazy}));
+  }
+  drive(lazy.engine(), windows);
+
+  for (const auto& stream : fed) EXPECT_TRUE(stream->done());
+  ASSERT_EQ(eager.log().size(), lazy.log().size());
+  for (std::size_t k = 0; k < eager.log().size(); ++k) {
+    ASSERT_EQ(eager.log()[k], lazy.log()[k])
+        << "firing " << k << " of " << eager.log().size() << " (cap " << cap
+        << ", " << streams << " streams) diverged; replay seed 0x" << std::hex
+        << ctx.case_seed;
+  }
 }
 
 TEST(Link, PropagationPlusSerialization) {

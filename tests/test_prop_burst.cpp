@@ -1,14 +1,14 @@
-// Burst-mode equivalence: the coalesced burst data plane (one engine event
-// per (ingress, window) burst, each packet resolved by the scalar lookup at
-// its own clock) is a pure execution-order optimization — for any (policy, traffic, params, seed) it
-// must be byte-identical to the scalar path on every deterministic surface:
-// the flat stats snapshot, the telemetry export stream, and the post-run
-// installed-state verifier. Random policies, traffic shapes, cache
+// Burst-mode equivalence: draining up to `burst` arrivals per ingress event
+// (each packet resolved by the scalar lookup at its own clock) is a pure
+// execution-order optimization. For any (policy, traffic, params, seed) it
+// must be byte-identical to one arrival per event on every deterministic
+// surface: the flat stats snapshot, the telemetry export stream, and the
+// post-run installed-state verifier. Random policies, traffic shapes, cache
 // strategies, measurement on/off, control-plane faults, and burst sizes
 // (including non-power-of-two ones; only the ring capacity must be a power
 // of two). A second property checks the sharded executor's SPSC rings:
-// threads>1 runs are seed-stable and invariant to the ring capacity (the
-// overflow spill path must preserve the merge order exactly).
+// threads>1 runs are seed-stable, invariant to the ring capacity (the
+// overflow spill path must preserve the merge order exactly) and to burst.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -119,23 +119,32 @@ DIFANE_PROPERTY(BurstPathMatchesScalarByteForByte, 110) {
 // byte-identical (seed stability), and shrinking the ring until the
 // overflow spill engages must change nothing — the spill keeps per-shard
 // FIFO order, so the (when, src shard, seq) merge is capacity-invariant.
+// Each shard engine reserves the seqs of its own ingresses' arrivals, so
+// bursts leave a threads=2 run unchanged too: burst 0 and 32 must agree.
 DIFANE_PROPERTY(ShardedBurstSeedStableAndRingCapacityInvariant, 25) {
   const CaseSetup c = gen_case(ctx);
-  const std::size_t burst = ctx.rng.bernoulli(0.5) ? 0 : 32;
 
   const std::string small_ring =
-      fingerprint(c, burst, /*ring_capacity=*/32, /*threads=*/2);
+      fingerprint(c, /*burst=*/0, /*ring_capacity=*/32, /*threads=*/2);
   const std::string small_ring_again =
-      fingerprint(c, burst, /*ring_capacity=*/32, /*threads=*/2);
+      fingerprint(c, /*burst=*/0, /*ring_capacity=*/32, /*threads=*/2);
   EXPECT_EQ(small_ring, small_ring_again)
-      << "threads=2 burst=" << burst
-      << " not seed-stable; replay seed 0x" << std::hex << ctx.case_seed;
+      << "threads=2 not seed-stable; replay seed 0x" << std::hex << ctx.case_seed;
 
   const std::string big_ring =
-      fingerprint(c, burst, /*ring_capacity=*/1024, /*threads=*/2);
+      fingerprint(c, /*burst=*/0, /*ring_capacity=*/1024, /*threads=*/2);
   EXPECT_EQ(small_ring, big_ring)
       << "ring capacity changed the run (overflow spill broke merge order); "
-         "burst=" << burst << " replay seed 0x" << std::hex << ctx.case_seed;
+         "replay seed 0x" << std::hex << ctx.case_seed;
+
+  EXPECT_EQ(small_ring,
+            fingerprint(c, /*burst=*/32, /*ring_capacity=*/32, /*threads=*/2))
+      << "threads=2 burst=32 diverged from burst=0 (ring 32); replay seed 0x"
+      << std::hex << ctx.case_seed;
+  EXPECT_EQ(big_ring,
+            fingerprint(c, /*burst=*/32, /*ring_capacity=*/1024, /*threads=*/2))
+      << "threads=2 burst=32 diverged from burst=0 (ring 1024); replay seed 0x"
+      << std::hex << ctx.case_seed;
 }
 
 }  // namespace

@@ -21,11 +21,11 @@
 # every deterministic (non-wall) metric is identical — the thread-count
 # invariance contract for cell-parallel benches and the sharded engine.
 #
-# --burst runs the bench pipeline in --quick mode scalar (--burst 0) and
-# coalesced (--burst 32), then asserts with bench_compare that every
-# deterministic metric is identical — the burst-mode equivalence contract
-# (the burst data plane is an execution-order optimization only; wall
-# metrics are exempt as always).
+# --burst runs the bench pipeline in --quick mode with one arrival per
+# ingress event (--burst 0) and with drains of up to 32 (--burst 32), then
+# asserts with bench_compare that every deterministic metric is identical —
+# the burst-mode equivalence contract (draining is an execution-order
+# optimization only; wall metrics are exempt as always).
 #
 # --scale runs the E11 scale-out stress tier in --quick mode twice and
 # asserts with bench_compare that its deterministic metrics (rule counts,
@@ -193,7 +193,7 @@ echo "== live migration (tsan): MigrationChaos suites =="
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure --no-tests=error \
   -R 'MigrationChaos' -j "$jobs"
-# Burst handlers (process_burst and its continuations) run on shard workers;
+# Ingress arrival streams (drains and re-arms) run on shard workers;
 # the sharded burst property is labelled `property`, which the TSan stages
 # above do not run, so call it out by name.
 echo "== sharded burst (tsan): Property.ShardedBurst =="

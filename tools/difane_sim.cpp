@@ -36,7 +36,7 @@ struct Options {
   std::size_t pool = 20000;
   double zipf = 1.0;
   double mean_packets = 5.0;
-  std::size_t burst = 0;  // 0 = scalar; >0 coalesced burst events
+  std::size_t burst = 0;  // arrivals one ingress event drains; 0 means 1
   double fail_at = -1.0;  // <0: no failure
   bool verify = false;
   bool verify_symbolic = false;
@@ -63,8 +63,8 @@ struct Options {
       "  --rate F --duration F     traffic (default 5000 flows/s, 2 s)\n"
       "  --pool N --zipf F         flow pool / popularity skew\n"
       "  --packets F               mean packets per flow (default 5)\n"
-      "  --burst N                 burst-mode data plane, N packets per burst\n"
-      "                            (default 0 = scalar; byte-identical results)\n"
+      "  --burst N                 drain up to N arrivals per ingress event\n"
+      "                            (default 0 means 1; byte-identical results)\n"
       "  --fail-at T               fail authority 0 at time T\n"
       "  --verify                  sample-verify installed state after the run\n"
       "  --verify-symbolic         exhaustive region-level verification\n"
