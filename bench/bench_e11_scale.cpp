@@ -12,11 +12,15 @@
 //     time, RSS high-water, and the stolen-shard count. Steals are
 //     timing-dependent by design — stealing only changes which thread runs
 //     a shard, never the result — so the count rides under the wall-metric
-//     exemption.
+//     exemption. The RSS split attributes heap bytes after the run to the
+//     policy, the plan's partitions, their trees, and the authority,
+//     partition and cache bands summed over switches (memory_bytes(); an
+//     estimate before allocator overhead, so it sums to less than the
+//     high-water mark).
 //
-// The full tier is deliberately heavy (minutes, ~10 GiB); --quick shrinks
-// every axis into CI territory while keeping the same metric keys so the
-// BASELINE gate covers the protocol end to end.
+// The full tier is heavy (about a minute and ~4 GiB on a 4-core host);
+// --quick shrinks every axis into CI territory while keeping the same
+// metric keys so the BASELINE gate covers the protocol end to end.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -84,7 +88,7 @@ int main(int argc, char** argv) {
     const std::size_t concurrent_target = args.pick<std::size_t>(1'000'000, 10'000);
 
     auto t0 = std::chrono::steady_clock::now();
-    const auto policy = campus_like(rules_target, rep.seed);
+    RuleTable generated = campus_like(rules_target, rep.seed);
     const double policy_wall = wall_s(t0);
 
     ScenarioParams params;
@@ -109,8 +113,11 @@ int main(int argc, char** argv) {
     rep.report.params["partition_capacity"] = obs::Json(params.partitioner.capacity);
 
     t0 = std::chrono::steady_clock::now();
-    Scenario scenario(policy, params);
+    Scenario scenario(std::move(generated), params);
     const double build_wall = wall_s(t0);
+    // The scenario holds the only copy of the policy (a second one costs
+    // ~0.9 GiB at 10M rules).
+    const RuleTable& policy = scenario.policy();
 
     // Count what actually landed in hardware: the policy once per serving
     // replica in the authority band, plus the per-switch partition band.
@@ -147,6 +154,28 @@ int main(int argc, char** argv) {
     const auto& stats = scenario.run(flows);
     const double run_wall = wall_s(t0);
 
+    // Where the memory went, by owner.
+    constexpr double kMiB = 1024.0 * 1024.0;
+    const PartitionPlan& plan = *scenario.plan();
+    std::size_t tree_bytes = 0;
+    for (const Partition& p : plan.partitions()) {
+      tree_bytes += sizeof(DTreeClassifier) + p.tree->memory_bytes();
+    }
+    std::size_t band_bytes[kNumBands] = {0, 0, 0};
+    for (SwitchId id = 0; id < net.switch_count(); ++id) {
+      for (std::size_t b = 0; b < kNumBands; ++b) {
+        band_bytes[b] += net.sw(id).table().memory_bytes(static_cast<Band>(b));
+      }
+    }
+    const std::pair<const char*, double> rss_split[] = {
+        {"policy", static_cast<double>(policy.memory_bytes()) / kMiB},
+        {"plan", static_cast<double>(plan.memory_bytes()) / kMiB},
+        {"trees", static_cast<double>(tree_bytes) / kMiB},
+        {"authority_band", static_cast<double>(band_bytes[1]) / kMiB},
+        {"partition_band", static_cast<double>(band_bytes[2]) / kMiB},
+        {"cache_band", static_cast<double>(band_bytes[0]) / kMiB},
+    };
+
     const bool targets_met = policy.size() >= rules_target &&
                              authority_entries >= rules_target &&
                              peak >= concurrent_target;
@@ -164,6 +193,9 @@ int main(int argc, char** argv) {
     rep.set("scale_traffic_wall_s", traffic_wall);
     rep.set("scale_run_wall_s", run_wall);
     rep.set("scale_rss_high_water_mib", rss_high_water_mib());
+    for (const auto& [owner, mib] : rss_split) {
+      rep.set(std::string("scale_rss_") + owner + "_mib", mib);
+    }
     rep.set("scale_wall_shards_stolen", static_cast<double>(scenario.shards_stolen()));
 
     if (rep.verbose) {
@@ -177,6 +209,9 @@ int main(int argc, char** argv) {
       table.add_row({"build wall (s)", TextTable::num(build_wall, 1)});
       table.add_row({"run wall (s)", TextTable::num(run_wall, 1)});
       table.add_row({"RSS high-water (MiB)", TextTable::num(rss_high_water_mib(), 0)});
+      for (const auto& [owner, mib] : rss_split) {
+        table.add_row({std::string("  heap: ") + owner + " (MiB)", TextTable::num(mib, 1)});
+      }
       table.add_row({"shards stolen", TextTable::integer(scenario.shards_stolen())});
       std::printf("%s\n", table.render().c_str());
       std::printf("targets (%zu rules, %zu concurrent): %s\n", rules_target,

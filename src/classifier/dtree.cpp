@@ -81,10 +81,9 @@ DTreeClassifier::DTreeClassifier(const RuleTable& table, DTreeParams params)
 
 std::uint32_t DTreeClassifier::make_leaf(const std::vector<std::uint32_t>& rules) {
   Node node;
-  node.cut_bit = -1;
-  node.leaf_begin = static_cast<std::uint32_t>(leaf_refs_.size());
+  node.cut_bit = -1 - static_cast<std::int32_t>(rules.size());
+  node.next = static_cast<std::uint32_t>(leaf_refs_.size());
   leaf_refs_.insert(leaf_refs_.end(), rules.begin(), rules.end());
-  node.leaf_end = static_cast<std::uint32_t>(leaf_refs_.size());
   nodes_.push_back(node);
   return static_cast<std::uint32_t>(nodes_.size() - 1);
 }
@@ -124,10 +123,9 @@ std::uint32_t DTreeClassifier::build(const RuleTable& table,
   const std::uint32_t self = static_cast<std::uint32_t>(nodes_.size());
   nodes_.push_back(Node{});
   nodes_[self].cut_bit = bit;
-  const std::uint32_t l = build(table, left, depth + 1);
+  build(table, left, depth + 1);  // lands at self + 1
   const std::uint32_t r = build(table, right, depth + 1);
-  nodes_[self].left = l;
-  nodes_[self].right = r;
+  nodes_[self].next = r;
   return self;
 }
 
@@ -135,14 +133,16 @@ std::optional<std::size_t> DTreeClassifier::match_index(const RuleTable& table,
                                                         const BitVec& packet) const {
   if (nodes_.empty()) return std::nullopt;
   std::uint32_t at = root_;
-  while (nodes_[at].cut_bit >= 0) {
+  std::int32_t cut;
+  while ((cut = nodes_[at].cut_bit) >= 0) {
     // Cut bits come from used_header_mask(), so the word index is in range.
-    const auto bit = static_cast<std::size_t>(nodes_[at].cut_bit);
-    at = (packet.w[bit / 64] >> (bit % 64)) & 1ULL ? nodes_[at].right : nodes_[at].left;
+    const auto bit = static_cast<std::size_t>(cut);
+    at = (packet.w[bit / 64] >> (bit % 64)) & 1ULL ? nodes_[at].next : at + 1;
   }
-  const Node& leaf = nodes_[at];
   const auto& rules = table.rules();
-  for (std::uint32_t i = leaf.leaf_begin; i < leaf.leaf_end; ++i) {
+  const std::uint32_t begin = nodes_[at].next;
+  const std::uint32_t end = begin + static_cast<std::uint32_t>(-1 - cut);
+  for (std::uint32_t i = begin; i < end; ++i) {
     if (rules[leaf_refs_[i]].match.matches(packet)) return leaf_refs_[i];
   }
   return std::nullopt;

@@ -88,12 +88,21 @@ class DTreeClassifier {
   // Total rule references across leaves / original rule count: the
   // duplication the cut strategy pays.
   double duplication_factor() const;
+  // Heap bytes held (nodes and leaf references), excluding sizeof(*this).
+  std::size_t memory_bytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           leaf_refs_.capacity() * sizeof(std::uint32_t);
+  }
 
  private:
+  // Nodes are stored in preorder, so an internal node's left child is the
+  // node after it. Eight bytes a node keep a descent's path on few cache
+  // lines.
   struct Node {
-    std::int32_t cut_bit = -1;                   // -1 => leaf
-    std::uint32_t left = 0, right = 0;           // children, internal only
-    std::uint32_t leaf_begin = 0, leaf_end = 0;  // [begin,end) into leaf_refs_
+    // Internal node: the cut bit, >= 0. Leaf: -1 - its rule count.
+    std::int32_t cut_bit = -1;
+    // Internal node: the right child. Leaf: its first index into leaf_refs_.
+    std::uint32_t next = 0;
   };
 
   std::uint32_t build(const RuleTable& table, std::vector<std::uint32_t>& rules,

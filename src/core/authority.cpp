@@ -42,6 +42,7 @@ std::optional<AuthorityNode::RedirectResult> AuthorityNode::handle(
       return result;
     }
     result.winner = &binding.partition->rules.at(*idx);
+    result.position = *idx;
     result.install = binding.generator.generate(packet, *idx);
     return result;
   }

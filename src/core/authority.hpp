@@ -1,8 +1,9 @@
 // Authority-switch control logic. An authority switch hosts one or more
-// partitions: the clipped authority rules live in its TCAM's authority band
-// (installed by the DIFANE controller), and this class answers the two
-// questions a redirected packet raises — which rule wins, and which cache
-// rules should be pushed back to the ingress switch.
+// partitions: its TCAM's authority band binds each partition's clipped rules
+// (the plan's shared RuleTable and tree, with per-switch hit counters; the
+// DIFANE controller binds them), and this class answers the two questions a
+// redirected packet raises — which rule wins, and which cache rules should
+// be pushed back to the ingress switch.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +13,13 @@
 #include "core/cache.hpp"
 
 namespace difane {
+
+// The view of a partition a switch's authority band binds: its region,
+// clipped rules and tree, keyed by partition id. Shares, never copies.
+inline AuthorityRuleSet authority_rule_set(const Partition& partition) {
+  return AuthorityRuleSet{partition.id, &partition.region, &partition.rules,
+                          partition.tree.get()};
+}
 
 class AuthorityNode {
  public:
@@ -45,6 +53,7 @@ class AuthorityNode {
   struct RedirectResult {
     const Rule* winner = nullptr;   // nullptr => no rule in the partition
     PartitionId partition = 0;
+    std::size_t position = 0;       // winner's position in the partition's rules
     CacheInstall install;           // cache rules for the ingress switch
   };
 

@@ -28,16 +28,7 @@ DifaneController::DifaneController(Network& net, const RuleTable& policy,
   // its backup. Each binding gets a disjoint synthetic-id range.
   RuleId synth_base = params_.synth_id_base;
   for (const auto& partition : plan_.partitions()) {
-    std::vector<AuthorityIndex> serving;
-    for (std::uint32_t r = 0; r < params_.replicas; ++r) {
-      serving.push_back((partition.primary + r) %
-                        static_cast<AuthorityIndex>(authority_switches_.size()));
-    }
-    if (std::find(serving.begin(), serving.end(), partition.backup) ==
-        serving.end()) {
-      serving.push_back(partition.backup);
-    }
-    for (const auto index : serving) {
+    for (const auto index : serving_set(partition)) {
       nodes_.at(authority_switch(index))->bind(partition, synth_base);
       synth_base += params_.synth_id_stride;
     }
@@ -139,34 +130,13 @@ AuthorityNode* DifaneController::node_at(SwitchId sw) {
 }
 
 void DifaneController::install_authority_rules() {
-  const auto k = static_cast<AuthorityIndex>(authority_switches_.size());
-  // Gather each authority switch's full serving load first and hand it to
-  // the table as one bulk install: the per-rule install() path pays a
-  // vector memmove plus a position refresh per rule, which is quadratic in
-  // the table size and dominates construction at stress-tier rule counts
-  // (hours at 10M rules). install_bulk lands the same final order —
-  // rule_before is a strict total order over unique ids, so sorted-merge
-  // order equals sequential-insert order bit for bit.
-  std::vector<std::vector<const Rule*>> per_switch(authority_switches_.size());
+  // Every serving switch binds the plan's copy of the partition: its
+  // authority band keeps counters only, so the rules exist once however
+  // many replicas serve them.
   for (const auto& partition : plan_.partitions()) {
-    std::vector<AuthorityIndex> serving;
-    for (std::uint32_t r = 0; r < params_.replicas; ++r) {
-      serving.push_back((partition.primary + r) % k);
+    for (const auto role : serving_set(partition)) {
+      net_.sw(authority_switch(role)).table().bind(authority_rule_set(partition));
     }
-    if (std::find(serving.begin(), serving.end(), partition.backup) ==
-        serving.end()) {
-      serving.push_back(partition.backup);
-    }
-    for (const auto role : serving) {
-      auto& dest = per_switch[role];
-      for (const auto& rule : partition.rules.rules()) dest.push_back(&rule);
-    }
-  }
-  for (AuthorityIndex role = 0;
-       role < static_cast<AuthorityIndex>(per_switch.size()); ++role) {
-    Switch& sw = net_.sw(authority_switch(role));
-    sw.table().install_bulk(per_switch[role], Band::kAuthority,
-                            net_.engine().now());
   }
 }
 
@@ -205,23 +175,17 @@ std::size_t DifaneController::handle_authority_restart(SwitchId restarted) {
   expects(!net_.sw(restarted).failed(),
           "handle_authority_restart: switch still marked failed");
 
-  // Reinstall the authority-band rules for every binding this switch serves
-  // (same serving-set computation as install_authority_rules, restricted to
-  // this switch). install() refreshes in place, so a partially surviving
-  // table is also handled.
-  const auto k = static_cast<AuthorityIndex>(authority_switches_.size());
-  Switch& sw = net_.sw(restarted);
+  // Rebind every partition this switch serves (same serving sets as
+  // install_authority_rules, restricted to this switch). Rebinding a
+  // surviving binding keeps its counters, so a table that kept its state is
+  // also handled.
+  FlowTable& table = net_.sw(restarted).table();
   std::size_t reinstalled = 0;
   for (const auto& partition : plan_.partitions()) {
-    bool serves = partition.backup == index;
-    for (std::uint32_t r = 0; !serves && r < params_.replicas; ++r) {
-      serves = (partition.primary + r) % k == index;
-    }
-    if (!serves) continue;
-    for (const auto& rule : partition.rules.rules()) {
-      sw.table().install(rule, Band::kAuthority, net_.engine().now());
-      ++reinstalled;
-    }
+    const auto serving = serving_set(partition);
+    if (std::find(serving.begin(), serving.end(), index) == serving.end()) continue;
+    table.bind(authority_rule_set(partition));
+    reinstalled += partition.rules.size();
   }
   // Refresh partition rules everywhere: replica_for sees the switch live
   // again, and the restarted switch itself gets its partition band back.

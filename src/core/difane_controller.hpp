@@ -41,8 +41,9 @@ class DifaneController {
                    std::vector<SwitchId> authority_switches,
                    DifaneControllerParams params);
 
-  // Install authority rules (primary + backup copies) and partition rules
-  // everywhere. Idempotent.
+  // Bind every partition into its serving switches' authority bands
+  // (primary, replicas and backup share the plan's rules) and install
+  // partition rules everywhere. Idempotent.
   void install_all();
 
   const PartitionPlan& plan() const { return plan_; }
@@ -59,13 +60,13 @@ class DifaneController {
   // only at live replicas). Returns the number of partitions re-pointed.
   std::size_t handle_authority_failure(SwitchId failed);
 
-  // React to an authority switch rejoining after a crash: reinstall the
-  // authority rules for every partition binding it serves (a rebooted switch
-  // comes back with an empty TCAM) and refresh partition rules everywhere so
+  // React to an authority switch rejoining after a crash: rebind every
+  // partition it serves into its authority band (a rebooted switch comes
+  // back with an empty TCAM) and refresh partition rules everywhere so
   // replica selection sees it live again. Partitions failed over while it
   // was down stay with their current primary — the restarted switch rejoins
   // as a replica/backup rather than preempting. Returns the number of
-  // authority rules reinstalled at the switch.
+  // authority rules rebound at the switch.
   std::size_t handle_authority_restart(SwitchId restarted);
 
   // The authority switch that ingress `sw` should redirect to for
@@ -93,8 +94,8 @@ class DifaneController {
   // Bind/unbind partition `index` at one authority's control node. Binds
   // allocate a fresh disjoint synthetic-id range (continuing the ctor's
   // counter); unbinding a switch that does not serve the partition is a
-  // no-op. Neither touches any TCAM — the caller moves the actual rules over
-  // the control channel.
+  // no-op. Neither touches any TCAM — the caller binds the switch's
+  // authority band over the control channel.
   void bind_partition(std::size_t index, AuthorityIndex authority);
   void unbind_partition(std::size_t index, AuthorityIndex authority);
 

@@ -1151,10 +1151,9 @@ void Scenario::handle_authority(SwitchId at, Packet pkt) {
       dispose(pkt, false, DropReason::kNoRule);
       return;
     }
-    // Credit the hit to this switch's installed authority-band copy so
-    // per-policy-rule counters stay exact (transparency).
-    net_.sw(at).table().hit(result->winner->id, Band::kAuthority,
-                            cur_engine().now(), pkt.bytes);
+    // Credit the hit to the winner's counter in this switch's authority
+    // band so per-policy-rule counters stay exact (transparency).
+    net_.sw(at).table().hit_bound(result->partition, result->position, pkt.bytes);
     // Telemetry: an authority resolution is this packet's terminal match.
     if (at < telemetry_.size() && telemetry_[at] != nullptr) {
       telemetry_[at]->sample(pkt.header, result->winner->id,
@@ -1424,7 +1423,7 @@ void Scenario::start_migration(std::size_t index, AuthorityIndex dest) {
   }
   m.pending_acks = m.installs.size();
   PartitionInstall msg;
-  msg.rules = partition.rules.rules();
+  msg.rules = authority_rule_set(partition);
   for (const auto member : m.installs) {
     difane_->bind_partition(index, member);
     send_migration(difane_->authority_switch(member), msg,
@@ -1496,17 +1495,15 @@ void Scenario::migration_finish(std::size_t slot) {
   LiveMigration& m = migrations_[slot];
   const Partition& partition = difane_->plan().partitions()[m.index];
   // Retire the old-only serving members: unbind their control nodes and
-  // remove the authority-band copies over the channel (fire-and-forget; a
-  // crashed member already lost its table, and retiring an absent id is a
+  // their authority bands over the channel (fire-and-forget; a crashed
+  // member already lost its table, and retiring an unbound partition is a
   // no-op, so duplicates are harmless).
   for (const auto member : m.retires) {
     difane_->unbind_partition(m.index, member);
     const SwitchId sw = difane_->authority_switch(member);
     if (net_.sw(sw).failed()) continue;
     PartitionRetire msg;
-    for (const auto& rule : partition.rules.rules()) {
-      msg.rule_ids.push_back(rule.id);
-    }
+    msg.partition = partition.id;
     send_migration(sw, std::move(msg), {});
   }
   // Cached shadow redirects that still chase the old home defeat the move
@@ -1532,15 +1529,12 @@ void Scenario::migration_rollback(std::size_t slot) {
   if (!m.flipped) {
     // Pre-flip abort: the plan never changed and no ingress was flipped, so
     // rolling back is unstocking the installs. A crashed member's table is
-    // already empty; live members get the copies removed directly (global
-    // event — the same direct-poke idiom as the failover purge).
+    // already empty; live members are unbound directly (global event — the
+    // same direct-poke idiom as the failover purge).
     for (const auto member : m.installs) {
       difane_->unbind_partition(m.index, member);
       Switch& sw = net_.sw(difane_->authority_switch(member));
-      if (sw.failed()) continue;
-      for (const auto& rule : partition.rules.rules()) {
-        sw.table().remove(rule.id, Band::kAuthority);
-      }
+      if (!sw.failed()) sw.table().unbind(partition.id);
     }
   }
   // Post-flip abort (destination crashed after the re-home committed):

@@ -64,16 +64,19 @@ struct FlowExport {
 
 // ---- live partition migration ("make-before-break" re-homing) -----------
 // These three messages are the control vocabulary of a partition move. All of
-// them are idempotent by construction — installs and flips refresh an entry
-// in place by rule id, retire of an absent id is a no-op — so the reliable
-// channel's retransmission/duplication path needs no special casing.
+// them are idempotent by construction — a bind of a bound partition and a
+// flip refresh in place, a retire of an unbound partition is a no-op — so
+// the reliable channel's retransmission/duplication path needs no special
+// casing.
 
-// Install a partition's authority rules at the destination switch (the
+// Bind a partition's authority rules at the destination switch (the
 // make-before-break "make": the destination is fully stocked before any
-// ingress is flipped toward it).
+// ingress is flipped toward it). The message names the plan's shared rule
+// set; applying it costs one flow-mod per rule, as streaming the rules
+// would.
 struct PartitionInstall {
   Xid xid = 0;
-  std::vector<Rule> rules;  // authority-band copies for one partition
+  AuthorityRuleSet rules;
 };
 
 // Flip one switch's partition-band redirect rule so new redirects chase the
@@ -84,12 +87,12 @@ struct PartitionFlip {
   Rule rule;  // partition-band redirect (encap to the new authority)
 };
 
-// Retire the source copy after the drain window: remove the listed
-// authority-band rule ids. Removing an id the switch no longer holds (crash,
-// duplicate retire) is a silent no-op.
+// Retire the source copy after the drain window: unbind the partition from
+// the authority band. Retiring a partition the switch no longer holds
+// (crash, duplicate retire) is a silent no-op.
 struct PartitionRetire {
   Xid xid = 0;
-  std::vector<RuleId> rule_ids;
+  std::uint32_t partition = 0;
 };
 
 using Request =

@@ -23,7 +23,7 @@ void SwitchAgent::deliver(const Request& request, ReplyHandler on_reply) {
           // A bulk authority install pays per rule, like the equivalent
           // stream of FlowMods would.
           return params_.flow_mod_cost *
-                 static_cast<double>(std::max<std::size_t>(1, msg.rules.size()));
+                 static_cast<double>(std::max<std::size_t>(1, msg.rules.rules->size()));
         }
         if constexpr (std::is_same_v<T, PartitionFlip>) return params_.flow_mod_cost;
         if constexpr (std::is_same_v<T, PartitionRetire>) return params_.flow_mod_cost;
@@ -93,11 +93,7 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
           // touching its (cleared) table, so the migration state machine can
           // abort instead of believing the destination is stocked.
           bool ok = !switch_.failed();
-          if (ok) {
-            for (const auto& rule : msg.rules) {
-              switch_.table().install(rule, Band::kAuthority, now);
-            }
-          }
+          if (ok) switch_.table().bind(msg.rules);
           if (on_reply) on_reply(FlowModReply{msg.xid, ok});
         } else if constexpr (std::is_same_v<T, PartitionFlip>) {
           bool ok = !switch_.failed();
@@ -110,11 +106,7 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
           if (on_reply) on_reply(FlowModReply{msg.xid, ok});
         } else if constexpr (std::is_same_v<T, PartitionRetire>) {
           bool ok = !switch_.failed();
-          if (ok) {
-            for (const RuleId id : msg.rule_ids) {
-              switch_.table().remove(id, Band::kAuthority);
-            }
-          }
+          if (ok) switch_.table().unbind(msg.partition);
           if (on_reply) on_reply(FlowModReply{msg.xid, ok});
         } else if constexpr (std::is_same_v<T, FlowExport>) {
           // A switch agent is not a collector; export batches terminate at a
@@ -128,20 +120,25 @@ void SwitchAgent::apply(const Request& request, const ReplyHandler& on_reply) {
 
 std::vector<FlowStatsEntry> collect_stats(const Switch& sw, RuleId origin_filter) {
   std::map<RuleId, FlowStatsEntry> by_origin;
-  for (const auto band : {Band::kCache, Band::kAuthority}) {
-    for (const auto& entry : sw.table().entries(band)) {
-      // Redirect plumbing (partition band, shadow/encap rules) is excluded:
-      // those hits are counted again at the authority switch's policy rule.
-      if (entry.rule.action.type == ActionType::kEncap) continue;
-      const RuleId origin = entry.rule.origin_or_self();
-      if (origin_filter != kInvalidRuleId && origin != origin_filter) continue;
-      auto& row = by_origin[origin];
-      row.origin = origin;
-      row.packets += entry.packets;
-      row.bytes += entry.bytes;
-      row.installed_copies += 1;
-    }
+  const auto add = [&](const Rule& rule, std::uint64_t packets, std::uint64_t bytes) {
+    // Redirect plumbing (partition band, shadow/encap rules) is excluded:
+    // those hits are counted again at the authority switch's policy rule.
+    if (rule.action.type == ActionType::kEncap) return;
+    const RuleId origin = rule.origin_or_self();
+    if (origin_filter != kInvalidRuleId && origin != origin_filter) return;
+    auto& row = by_origin[origin];
+    row.origin = origin;
+    row.packets += packets;
+    row.bytes += bytes;
+    row.installed_copies += 1;
+  };
+  for (const auto& entry : sw.table().entries(Band::kCache)) {
+    add(entry.rule, entry.packets, entry.bytes);
   }
+  sw.table().for_each_authority_rule(
+      [&](const Rule& rule, const FlowTable::RuleCounters& c) {
+        add(rule, c.packets, c.bytes);
+      });
   // Counters that left the table with evicted/expired/deleted entries.
   for (const auto& [origin, counters] : sw.table().retired()) {
     if (origin_filter != kInvalidRuleId && origin != origin_filter) continue;

@@ -36,6 +36,9 @@ class RuleTable {
 
   double total_weight() const;
 
+  // Heap bytes held (rule storage capacity), excluding sizeof(*this).
+  std::size_t memory_bytes() const { return rules_.capacity() * sizeof(Rule); }
+
   // True iff the table has a full-wildcard rule at the lowest priority level,
   // i.e. every packet matches something.
   bool has_default() const;

@@ -55,6 +55,12 @@ double PartitionPlan::duplication_factor() const {
          static_cast<double>(original_rule_count_);
 }
 
+std::size_t PartitionPlan::memory_bytes() const {
+  std::size_t n = partitions_.capacity() * sizeof(Partition);
+  for (const auto& p : partitions_) n += p.rules.memory_bytes();
+  return n;
+}
+
 std::vector<std::size_t> PartitionPlan::rules_per_authority() const {
   std::vector<std::size_t> counts(authority_count_, 0);
   for (const auto& p : partitions_) counts.at(p.primary) += p.rules.size();

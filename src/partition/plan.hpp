@@ -5,7 +5,10 @@
 // controller installs in *every* switch — are synthesized from the plan.
 // Each partition also carries a decision tree over its clipped rules: the
 // authority switch's answer to a redirected packet, the model's stand-in for
-// one TCAM lookup in the authority band.
+// one TCAM lookup in the authority band. The plan holds the only copy of
+// those rules: every switch that serves a partition binds its region, rules
+// and tree by pointer (FlowTable::bind) and keeps just hit counters, so the
+// partitions must stay put while any switch binds them.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +73,10 @@ class PartitionPlan {
   std::vector<std::size_t> rules_per_authority() const;
   std::size_t max_rules_per_authority() const;
 
+  // Heap bytes of the partitions and their clipped rule tables, excluding
+  // sizeof(*this) and the trees (each tree reports its own memory_bytes()).
+  std::size_t memory_bytes() const;
+
   // Sampling check that regions are disjoint and complete, and that each
   // partition's clipped table agrees with `policy` inside its region.
   // Returns a description of the first violation, or nullopt.
@@ -83,7 +90,7 @@ class PartitionPlan {
   // primary becomes the backup (never retired from the plan), so a crash of
   // the new home mid- or post-migration rolls back via the ordinary
   // fail_over path to a fully stocked copy. Region and rules are untouched —
-  // bound AuthorityNode pointers into partitions() stay valid.
+  // AuthorityNode and authority-band pointers into partitions() stay valid.
   void re_home(std::size_t index, AuthorityIndex new_primary);
 
  private:

@@ -51,11 +51,7 @@ void FlowTable::recompute_watermark() {
   for (std::uint32_t s = lru_head_; s != kNilSlot; s = links_[s].lru_next) {
     t = std::min(t, next_expiry(slab_[s]));
   }
-  for (const Band band : {Band::kAuthority, Band::kPartition}) {
-    for (const auto slot : bands_[index(band)].order) {
-      t = std::min(t, next_expiry(slab_[slot]));
-    }
-  }
+  for (const auto slot : partition_.order) t = std::min(t, next_expiry(slab_[slot]));
   expiry_watermark_ = t;
 }
 
@@ -218,7 +214,7 @@ void FlowTable::lru_unlink(std::uint32_t slot) {
 
 std::vector<std::uint32_t> FlowTable::cache_order() const {
   std::vector<std::uint32_t> slots;
-  slots.reserve(bands_[index(Band::kCache)].by_id.size());
+  slots.reserve(cache_.by_id.size());
   for (std::uint32_t s = lru_head_; s != kNilSlot; s = links_[s].lru_next) {
     slots.push_back(s);
   }
@@ -244,7 +240,7 @@ void FlowTable::unlink_guards(std::uint32_t slot) {
 }
 
 void FlowTable::erase_entry(std::uint32_t slot, Band band) {
-  BandState& bs = bands_[index(band)];
+  BandState& bs = state(band);
   if (band == Band::kCache) {
     unlink_cache_aux(slot);
     unlink_guards(slot);
@@ -258,7 +254,12 @@ void FlowTable::erase_entry(std::uint32_t slot, Band band) {
 
 bool FlowTable::install(const Rule& rule, Band band, double now, double idle_timeout,
                         double hard_timeout, std::vector<RuleId> guards) {
-  BandState& bs = bands_[index(band)];
+  if (band == Band::kAuthority) {
+    expects(idle_timeout == 0.0 && hard_timeout == 0.0 && guards.empty(),
+            "FlowTable: authority rules take no timeouts or guards");
+    return install_owned(rule);
+  }
+  BandState& bs = state(band);
   // Group safety under heterogeneous idle timeouts (the elephant policy
   // installs the same protector rule from groups with different leashes): a
   // dependent must never be configured to outlive a guard, or the window
@@ -368,7 +369,8 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
   expects(band != Band::kCache,
           "install_bulk: cache-band installs need the eviction/guard logic of "
           "install()");
-  BandState& bs = bands_[index(band)];
+  if (band == Band::kAuthority) return install_owned_bulk(rules);
+  BandState& bs = partition_;
   const std::size_t old_size = bs.order.size();
   std::size_t accepted = 0;
   for (const Rule* rule : rules) {
@@ -430,15 +432,19 @@ std::size_t FlowTable::install_bulk(const std::vector<const Rule*>& rules,
 void FlowTable::retire(const FlowEntry& entry) {
   // Plumbing entries re-count at the authority switch; see retired() docs.
   if (entry.band == Band::kPartition) return;
-  if (entry.rule.action.type == ActionType::kEncap) return;
-  if (entry.packets == 0 && entry.bytes == 0) return;
-  auto& row = retired_[entry.rule.origin_or_self()];
-  row.packets += entry.packets;
-  row.bytes += entry.bytes;
+  retire(entry.rule, RuleCounters{entry.packets, entry.bytes});
+}
+
+void FlowTable::retire(const Rule& rule, const RuleCounters& counters) {
+  if (rule.action.type == ActionType::kEncap) return;
+  if (counters.packets == 0 && counters.bytes == 0) return;
+  auto& row = retired_[rule.origin_or_self()];
+  row.packets += counters.packets;
+  row.bytes += counters.bytes;
 }
 
 void FlowTable::cascade_remove_dependents(std::vector<RuleId> removed_ids) {
-  BandState& cache = bands_[index(Band::kCache)];
+  BandState& cache = cache_;
   std::vector<RuleId> deps;
   while (!removed_ids.empty()) {
     const RuleId gone = removed_ids.back();
@@ -487,7 +493,8 @@ void FlowTable::evict_lru_cache() {
 }
 
 bool FlowTable::remove(RuleId id, Band band) {
-  BandState& bs = bands_[index(band)];
+  if (band == Band::kAuthority) return remove_owned(id);
+  BandState& bs = state(band);
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
   const std::uint32_t slot = it->second;
@@ -499,7 +506,12 @@ bool FlowTable::remove(RuleId id, Band band) {
 }
 
 void FlowTable::clear_band(Band band) {
-  BandState& bs = bands_[index(band)];
+  if (band == Band::kAuthority) {
+    while (!bindings_.empty()) erase_binding(bindings_.size() - 1);
+    authority_rows_ = {};  // a crash's clear gives the dump storage back
+    return;
+  }
+  BandState& bs = state(band);
   const bool is_cache = band == Band::kCache;
   for (const std::uint32_t slot : is_cache ? cache_order() : bs.order) {
     retire(slab_[slot]);
@@ -548,35 +560,33 @@ std::size_t FlowTable::expire(double now) {
     erase_entry(slot, Band::kCache);
   }
   total += dead.size();
-  for (const Band band : {Band::kAuthority, Band::kPartition}) {
-    // Compact survivors in place.
-    BandState& bs = bands_[index(band)];
-    std::size_t kept = 0;
-    for (const std::uint32_t slot : bs.order) {
-      FlowEntry& e = slab_[slot];
-      if (!e.expired(now)) {
-        bs.order[kept++] = slot;
-        watermark = std::min(watermark, next_expiry(e));
-        continue;
-      }
-      retire(e);
-      bs.by_id.erase(e.rule.id);
-      release_slot(slot);
-      ++total;
+  // Partition band: compact survivors in place. (Authority rules never
+  // expire.)
+  std::size_t kept = 0;
+  for (const std::uint32_t slot : partition_.order) {
+    FlowEntry& e = slab_[slot];
+    if (!e.expired(now)) {
+      partition_.order[kept++] = slot;
+      watermark = std::min(watermark, next_expiry(e));
+      continue;
     }
-    bs.order.resize(kept);
+    retire(e);
+    partition_.by_id.erase(e.rule.id);
+    release_slot(slot);
+    ++total;
   }
+  partition_.order.resize(kept);
   stats_.expirations += total;
   if (!expired_cache.empty()) cascade_remove_dependents(std::move(expired_cache));
   expiry_watermark_ = watermark;
   return total;
 }
 
-const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) const {
-  // Cache band: the winner is the first live match in key order. The exact
-  // chain (unordered, usually one entry) yields its key-minimal live match;
-  // the key-ordered wildcard scan stops at its first live match or as soon
-  // as it sorts after that exact candidate.
+const FlowEntry* FlowTable::cache_match(const BitVec& packet, double now) const {
+  // The winner is the first live match in key order. The exact chain
+  // (unordered, usually one entry) yields its key-minimal live match; the
+  // key-ordered wildcard scan stops at its first live match or as soon as it
+  // sorts after that exact candidate.
   const FlowEntry* win = nullptr;
   if (exact_keys_ != 0) {
     const BitVec key = packet & used_header_mask();
@@ -597,12 +607,55 @@ const FlowEntry* FlowTable::find_live_match(const BitVec& packet, double now) co
       break;
     }
   }
-  if (win != nullptr) return win;
-  for (const Band band : {Band::kAuthority, Band::kPartition}) {
-    for (const std::uint32_t s : bands_[index(band)].order) {
-      const FlowEntry& e = slab_[s];
-      if (live_match(e, packet, now)) return &e;
+  return win;
+}
+
+std::optional<FlowTable::BoundRule> FlowTable::authority_match(
+    const BitVec& packet) const {
+  // Shared regions are disjoint, so at most one shared binding covers the
+  // packet, and the region tree finds it; the table-owned binding covers
+  // everything. Between the two the rule_before-first rule wins, as in one
+  // sorted band.
+  std::optional<BoundRule> win;
+  if (bindings_.empty()) return win;  // every edge switch
+  const auto own = by_key_.find(kOwnedKey);
+  if (own != by_key_.end()) {
+    if (const auto pos = bindings_[own->second].set.rules->match_index(packet)) {
+      win = BoundRule{own->second, *pos};
     }
+    if (bindings_.size() == 1) return win;
+  }
+  if (region_tree_ == nullptr) build_region_tree();
+  const auto region = region_tree_->match_index(region_rules_, packet);
+  if (!region.has_value()) return win;
+  const std::size_t b = region_rules_.at(*region).id;
+  const AuthorityRuleSet& set = bindings_[b].set;
+  const auto pos = set.tree->match_index(*set.rules, packet);
+  if (pos.has_value()) {
+    const BoundRule at{b, *pos};
+    if (!win.has_value() || rule_before(bound_rule(at), bound_rule(*win))) win = at;
+  }
+  return win;
+}
+
+void FlowTable::build_region_tree() const {
+  std::vector<Rule> regions;
+  for (std::size_t b = 0; b < bindings_.size(); ++b) {
+    const AuthorityRuleSet& set = bindings_[b].set;
+    if (set.key == kOwnedKey) continue;
+    Rule r;
+    r.id = static_cast<RuleId>(b);
+    r.match = *set.region;
+    regions.push_back(r);
+  }
+  region_rules_ = RuleTable(std::move(regions));
+  region_tree_ = std::make_unique<DTreeClassifier>(region_rules_);
+}
+
+const FlowEntry* FlowTable::partition_match(const BitVec& packet, double now) const {
+  for (const std::uint32_t s : partition_.order) {
+    const FlowEntry& e = slab_[s];
+    if (live_match(e, packet, now)) return &e;
   }
   return nullptr;
 }
@@ -612,7 +665,17 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
   // skipping the sweep while now < watermark removes exactly nothing — the
   // table, stats, and cascades evolve byte-identically to an eager sweep.
   if (now >= expiry_watermark_) expire(now);
-  FlowEntry* entry = const_cast<FlowEntry*>(find_live_match(packet, now));
+  FlowEntry* entry = const_cast<FlowEntry*>(cache_match(packet, now));
+  if (entry == nullptr) {
+    if (const auto at = authority_match(packet)) {
+      RuleCounters& c = bindings_[at->binding].counters[at->position];
+      ++c.packets;
+      c.bytes += bytes;
+      ++stats_.hits_per_band[index(Band::kAuthority)];
+      return authority_row(*at);
+    }
+    entry = const_cast<FlowEntry*>(partition_match(packet, now));
+  }
   if (entry == nullptr) {
     ++stats_.misses;
     return nullptr;
@@ -626,10 +689,9 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
   // they protect are hot — the safety cascade would then evict hot entries
   // along with them.
   if (entry->band == Band::kCache && !entry->guards.empty()) {
-    const auto& by_id = bands_[index(Band::kCache)].by_id;
     for (const RuleId g : entry->guards) {
-      const auto it = by_id.find(g);
-      if (it == by_id.end()) continue;
+      const auto it = cache_.by_id.find(g);
+      if (it == cache_.by_id.end()) continue;
       slab_[it->second].last_hit = now;
       lru_touch(it->second);
     }
@@ -641,7 +703,12 @@ const FlowEntry* FlowTable::lookup(const BitVec& packet, double now, std::uint64
 }
 
 bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {
-  BandState& bs = bands_[index(band)];
+  if (band == Band::kAuthority) {
+    const auto at = find_bound(id);
+    return at.has_value() &&
+           hit_bound(bindings_[at->binding].set.key, at->position, bytes);
+  }
+  BandState& bs = state(band);
   const auto it = bs.by_id.find(id);
   if (it == bs.by_id.end()) return false;
   FlowEntry& e = slab_[it->second];
@@ -654,19 +721,294 @@ bool FlowTable::hit(RuleId id, Band band, double now, std::uint64_t bytes) {
 }
 
 const FlowEntry* FlowTable::peek(const BitVec& packet, double now) const {
-  return find_live_match(packet, now);
+  if (const FlowEntry* e = cache_match(packet, now)) return e;
+  if (const auto at = authority_match(packet)) return authority_row(*at);
+  return partition_match(packet, now);
 }
 
 std::size_t FlowTable::total_size() const {
-  std::size_t n = 0;
-  for (const auto& bs : bands_) n += bs.by_id.size();
-  return n;
+  return cache_.by_id.size() + authority_size_ + partition_.by_id.size();
 }
 
 const FlowEntry* FlowTable::find(RuleId id, Band band) const {
-  const auto& bs = bands_[index(band)];
+  if (band == Band::kAuthority) {
+    const auto at = find_bound(id);
+    return at.has_value() ? authority_row(*at) : nullptr;
+  }
+  const auto& bs = state(band);
   const auto it = bs.by_id.find(id);
   return it == bs.by_id.end() ? nullptr : &slab_[it->second];
+}
+
+namespace {
+
+// Allocator request of an unordered_map's buckets and nodes (libstdc++: one
+// next pointer per node; small integer keys do not cache their hash).
+template <typename Map>
+std::size_t hash_map_bytes(const Map& m) {
+  return m.bucket_count() * sizeof(void*) +
+         m.size() * (sizeof(void*) + sizeof(typename Map::value_type));
+}
+
+template <typename T>
+std::size_t vector_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
+std::size_t FlowTable::memory_bytes(Band band) const {
+  constexpr std::size_t kSlot = sizeof(FlowEntry) + sizeof(CacheLinks);
+  if (band == Band::kAuthority) {
+    std::size_t n = vector_bytes(bindings_) + vector_bytes(authority_rows_) +
+                    hash_map_bytes(by_key_) + region_rules_.memory_bytes();
+    if (region_tree_ != nullptr) n += sizeof(DTreeClassifier) + region_tree_->memory_bytes();
+    for (const Binding& b : bindings_) {
+      n += vector_bytes(b.counters);
+      if (b.owned != nullptr) n += sizeof(RuleTable) + b.owned->memory_bytes();
+    }
+    return n;
+  }
+  if (band == Band::kPartition) {
+    return partition_.by_id.size() * kSlot + vector_bytes(partition_.order) +
+           hash_map_bytes(partition_.by_id);
+  }
+  // The cache band also carries the slab's unused slots and every slot's
+  // guard list: partition entries never have guards.
+  std::size_t n = vector_bytes(slab_) + vector_bytes(links_) -
+                  partition_.by_id.size() * kSlot + vector_bytes(free_slots_) + hash_map_bytes(cache_.by_id) +
+                  vector_bytes(exact_buckets_) + vector_bytes(cache_wild_) +
+                  hash_map_bytes(dependents_);
+  for (const FlowEntry& e : slab_) n += vector_bytes(e.guards);
+  for (const auto& [id, deps] : dependents_) n += vector_bytes(deps);
+  return n;
+}
+
+FlowTable::BandView FlowTable::entries(Band band) const {
+  if (band == Band::kCache) return BandView(slab_.data(), cache_order());
+  if (band == Band::kPartition) return BandView(slab_.data(), partition_.order);
+  // Authority rows in band order: merge every binding's rules (each sorted
+  // by rule_before already) by one sort of their positions.
+  std::vector<BoundRule> order;
+  order.reserve(authority_size_);
+  for (std::size_t b = 0; b < bindings_.size(); ++b) {
+    for (std::size_t i = 0; i < bindings_[b].counters.size(); ++i) {
+      order.push_back(BoundRule{b, i});
+    }
+  }
+  std::sort(order.begin(), order.end(), [this](BoundRule a, BoundRule b) {
+    return rule_before(bound_rule(a), bound_rule(b));
+  });
+  authority_rows_.clear();
+  authority_rows_.reserve(order.size());
+  std::vector<std::uint32_t> slots;
+  slots.reserve(order.size());
+  for (const BoundRule at : order) {
+    slots.push_back(static_cast<std::uint32_t>(authority_rows_.size()));
+    authority_rows_.push_back(*authority_row(at));
+  }
+  return BandView(authority_rows_.data(), std::move(slots));
+}
+
+// ---- authority band -------------------------------------------------------
+
+const FlowTable::Binding* FlowTable::binding_of(std::uint32_t key) const {
+  const auto it = by_key_.find(key);
+  return it == by_key_.end() ? nullptr : &bindings_[it->second];
+}
+
+std::optional<FlowTable::BoundRule> FlowTable::find_bound(RuleId id) const {
+  for (std::size_t b = 0; b < bindings_.size(); ++b) {
+    const auto& rules = bindings_[b].set.rules->rules();
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (rules[i].id == id) return BoundRule{b, i};
+    }
+  }
+  return std::nullopt;
+}
+
+const FlowEntry* FlowTable::authority_row(BoundRule at) const {
+  const RuleCounters& c = bindings_[at.binding].counters[at.position];
+  authority_row_.rule = bound_rule(at);
+  authority_row_.band = Band::kAuthority;
+  authority_row_.packets = c.packets;
+  authority_row_.bytes = c.bytes;
+  return &authority_row_;
+}
+
+bool FlowTable::bind(const AuthorityRuleSet& set) {
+  expects(set.region != nullptr && set.rules != nullptr && set.tree != nullptr &&
+              set.key != kOwnedKey,
+          "FlowTable::bind: needs a region, rules, a tree and a partition key");
+  expects(set.tree->rule_count() == set.rules->size(),
+          "FlowTable::bind: tree is not over the bound rules");
+  const std::size_t n = set.rules->size();
+  if (const Binding* own = binding_of(kOwnedKey)) {
+    for (const Rule& r : set.rules->rules()) {
+      expects(own->owned->find(r.id) == nullptr,
+              "FlowTable::bind: rule id already installed in the authority band");
+    }
+  }
+  if (binding_of(set.key) != nullptr) {  // refresh: counters survive
+    stats_.installs += n;
+    return true;
+  }
+  if (authority_size_ + partition_.by_id.size() + n > hw_capacity_) {
+    stats_.install_rejected += n;
+    return false;
+  }
+  for (const Binding& b : bindings_) {
+    expects(b.set.key == kOwnedKey || !intersects(*set.region, *b.set.region),
+            "FlowTable::bind: region overlaps a bound region");
+  }
+  add_binding(Binding{set, std::vector<RuleCounters>(n), nullptr});
+  stats_.installs += n;
+  return true;
+}
+
+bool FlowTable::unbind(std::uint32_t key) {
+  const auto it = by_key_.find(key);
+  if (it == by_key_.end()) return false;
+  erase_binding(it->second);
+  return true;
+}
+
+void FlowTable::add_binding(Binding binding) {
+  by_key_.emplace(binding.set.key, bindings_.size());
+  authority_size_ += binding.counters.size();
+  bindings_.push_back(std::move(binding));
+  region_tree_.reset();
+}
+
+void FlowTable::erase_binding(std::size_t index) {
+  const Binding& b = bindings_[index];
+  for (std::size_t i = 0; i < b.counters.size(); ++i) {
+    retire(b.set.rules->at(i), b.counters[i]);
+  }
+  authority_size_ -= b.counters.size();
+  by_key_.erase(b.set.key);
+  // Bind order carries no meaning (rows and winners follow rule_before), so
+  // the last binding fills the hole.
+  if (index + 1 != bindings_.size()) {
+    bindings_[index] = std::move(bindings_.back());
+    by_key_[bindings_[index].set.key] = index;
+  }
+  bindings_.pop_back();
+  region_tree_.reset();
+}
+
+bool FlowTable::hit_bound(std::uint32_t key, std::size_t position,
+                          std::uint64_t bytes) {
+  const auto it = by_key_.find(key);
+  if (it == by_key_.end()) return false;
+  RuleCounters& c = bindings_[it->second].counters.at(position);
+  ++c.packets;
+  c.bytes += bytes;
+  ++stats_.hits_per_band[index(Band::kAuthority)];
+  return true;
+}
+
+FlowTable::Binding& FlowTable::owned_binding() {
+  if (const auto it = by_key_.find(kOwnedKey); it != by_key_.end()) {
+    return bindings_[it->second];
+  }
+  auto rules = std::make_unique<RuleTable>();
+  AuthorityRuleSet set;
+  set.key = kOwnedKey;
+  set.rules = rules.get();
+  add_binding(Binding{set, {}, std::move(rules)});
+  return bindings_.back();
+}
+
+bool FlowTable::install_owned(const Rule& rule) {
+  const auto at = find_bound(rule.id);
+  if (at.has_value()) {
+    // Same-id refresh: counters survive, a changed priority re-positions.
+    Binding& b = bindings_[at->binding];
+    expects(b.owned != nullptr,
+            "FlowTable: a bound rule set's rules cannot be reinstalled one by one");
+    const RuleCounters kept = b.counters[at->position];
+    b.counters.erase(b.counters.begin() + static_cast<std::ptrdiff_t>(at->position));
+    b.owned->remove(rule.id);
+    const auto& rules = b.owned->rules();
+    const auto pos = std::lower_bound(rules.begin(), rules.end(), rule, rule_before) -
+                     rules.begin();
+    b.owned->add(rule);
+    b.counters.insert(b.counters.begin() + pos, kept);
+    ++stats_.installs;
+    return true;
+  }
+  if (authority_size_ + partition_.by_id.size() >= hw_capacity_) {
+    ++stats_.install_rejected;
+    return false;
+  }
+  Binding& b = owned_binding();
+  const auto& rules = b.owned->rules();
+  const auto pos =
+      std::lower_bound(rules.begin(), rules.end(), rule, rule_before) - rules.begin();
+  b.owned->add(rule);
+  b.counters.insert(b.counters.begin() + pos, RuleCounters{});
+  ++authority_size_;
+  ++stats_.installs;
+  return true;
+}
+
+std::size_t FlowTable::install_owned_bulk(const std::vector<const Rule*>& batch) {
+  Binding& b = owned_binding();
+  std::vector<Rule> rules = b.owned->rules();
+  std::vector<RuleCounters> counters = b.counters;
+  std::unordered_map<RuleId, std::size_t> at;  // rule id -> index in `rules`
+  at.reserve(rules.size() + batch.size());
+  for (std::size_t i = 0; i < rules.size(); ++i) at.emplace(rules[i].id, i);
+  const std::size_t before = rules.size();
+  std::size_t accepted = 0;
+  for (const Rule* rule : batch) {
+    const auto it = at.find(rule->id);
+    if (it != at.end()) {
+      // A priority change would need the rule moved, which the sort below
+      // would do silently; install() is the path that re-positions.
+      expects(rules[it->second].priority == rule->priority,
+              "install_bulk: refresh must not change priority (use install())");
+      rules[it->second] = *rule;
+    } else if (authority_size_ + (rules.size() - before) + partition_.by_id.size() >=
+               hw_capacity_) {
+      ++stats_.install_rejected;
+      continue;
+    } else {
+      at.emplace(rule->id, rules.size());
+      rules.push_back(*rule);
+      counters.emplace_back();
+    }
+    ++stats_.installs;
+    ++accepted;
+  }
+  for (const Binding& other : bindings_) {
+    if (other.owned != nullptr) continue;
+    for (const Rule& r : other.set.rules->rules()) {
+      expects(at.count(r.id) == 0, "FlowTable: rule id already bound by a shared rule set");
+    }
+  }
+  // RuleTable's one sort lands every rule where sequential installs would
+  // have put it (rule_before is a strict total order over unique ids); the
+  // counters follow their rules by id.
+  authority_size_ += rules.size() - before;
+  *b.owned = RuleTable(std::move(rules));
+  b.counters.resize(b.owned->size());
+  for (std::size_t i = 0; i < b.counters.size(); ++i) {
+    b.counters[i] = counters[at.at(b.owned->at(i).id)];
+  }
+  return accepted;
+}
+
+bool FlowTable::remove_owned(RuleId id) {
+  const auto at = find_bound(id);
+  if (!at.has_value() || bindings_[at->binding].owned == nullptr) return false;
+  Binding& b = bindings_[at->binding];
+  retire(b.owned->at(at->position), b.counters[at->position]);
+  b.counters.erase(b.counters.begin() + static_cast<std::ptrdiff_t>(at->position));
+  b.owned->remove(id);
+  --authority_size_;
+  return true;
 }
 
 }  // namespace difane

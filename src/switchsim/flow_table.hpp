@@ -5,13 +5,13 @@
 // when the cache band is full; authority and partition entries are proactive
 // and never expire.
 //
-// Fast-path layout: entries live in a stable slab, and every band is ordered
-// by the rule_before key (priority desc, id asc); the winner is the first
-// live match in that order. A same-id refresh that changes an entry's
-// priority re-positions it. Authority and partition bands keep a sorted slot
-// vector. The cache band keeps no full order. Instead it has three indices,
-// so that installing, hitting or evicting an exact-indexed entry costs O(1)
-// whatever the occupancy:
+// Fast-path layout: cache and partition entries live in a stable slab, and
+// every band is ordered by the rule_before key (priority desc, id asc); the
+// winner is the first live match in that order. A same-id refresh that
+// changes an entry's priority re-positions it. The partition band keeps a
+// sorted slot vector. The cache band keeps no full order. Instead it has
+// three indices, so that installing, hitting or evicting an exact-indexed
+// entry costs O(1) whatever the occupancy:
 //   - an exact-match hash over entries whose care bits cover every used
 //     header bit (used_header_mask(): the 253 bits of the 12-tuple), keyed
 //     by value & used mask and probed with packet & used mask. Chain
@@ -29,6 +29,21 @@
 // some entry can actually have timed out, at which point a full sweep runs —
 // so observable behavior (stats, cascades, LRU order) is byte-identical to
 // sweeping on every lookup.
+//
+// The authority band stores no entries. It is a list of bindings, each a
+// view over a rule set the table does not own (one partition's region,
+// clipped RuleTable and decision tree, shared by every replica that serves
+// it) plus one {packets, bytes} counter pair per rule, indexed by the rule's
+// position in that RuleTable: 16 B per bound rule. Authority rules carry no
+// clocks, timeouts or guards. Bound regions are disjoint, so a lookup finds
+// the one binding whose region holds the packet, through a decision tree
+// over the regions, and resolves it through that partition's tree. The
+// per-rule install/install_bulk/remove entry points on the authority band
+// go to one table-owned binding (a RuleTable over the whole flow space,
+// matched linearly), so the band has one representation; when both match,
+// the rule_before-first rule wins, as in one sorted band.
+// entries(Band::kAuthority) materializes FlowEntry rows for dumps and
+// audits.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +53,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include <memory>
+
+#include "classifier/dtree.hpp"
 #include "flowspace/header.hpp"
 #include "flowspace/rule.hpp"
+#include "flowspace/rule_table.hpp"
 
 namespace difane {
 
@@ -83,6 +102,19 @@ struct FlowEntry {
   }
 };
 
+// A rule set the authority band can bind without copying it: one
+// partition's region, clipped rules and the tree over them. The table keeps
+// the pointers, so all three must outlive the binding. The regions bound in
+// one table must be disjoint, and rule ids unique across everything bound
+// in it (the partitioner cuts disjoint regions and gives every clipped copy
+// a fresh id).
+struct AuthorityRuleSet {
+  std::uint32_t key = 0;  // partition id; unique per table
+  const Ternary* region = nullptr;
+  const RuleTable* rules = nullptr;
+  const DTreeClassifier* tree = nullptr;
+};
+
 struct FlowTableStats {
   std::uint64_t hits_per_band[kNumBands] = {0, 0, 0};
   std::uint64_t misses = 0;           // matched nothing in any band
@@ -102,18 +134,18 @@ class FlowTable {
   // an existing entry with the same rule id (refreshing its timeouts and
   // guards). Authority/partition installs fail (returning false) if the
   // non-cache capacity is exhausted. `guards` lists the protector entry ids
-  // this entry depends on (see FlowEntry::guards).
+  // this entry depends on (see FlowEntry::guards). An authority install
+  // goes to the table-owned binding and takes no timeouts or guards.
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {});
 
   // Bulk install into a non-cache band: semantically identical to calling
   // install(rule, band, now) for each pointed-to rule in sequence (same
   // final match order, same stats counters, same capacity/refresh
-  // behaviour), but O((n + k) + k log k) instead of O(n * k) — new entries
-  // are appended and merged into the band order once instead of paying a
-  // vector memmove per rule. Used by the controller's initial
-  // authority/partition population, where the per-insert path is quadratic
-  // at millions of rules (the E11 stress tier).
+  // behaviour), but O((n + k) log(n + k)) instead of O(n * k) — new entries
+  // are appended and sorted into the band order once instead of paying a
+  // vector memmove per rule. The controller refreshes every partition band
+  // through it.
   //
   // A refresh here updates the entry in place and must not change its
   // priority (no non-cache caller does; install() re-positions such a
@@ -123,14 +155,34 @@ class FlowTable {
   std::size_t install_bulk(const std::vector<const Rule*>& rules, Band band,
                            double now);
 
+  // Remove one entry. In the authority band only rules of the table-owned
+  // binding can be removed one by one; bound rule sets leave by unbind().
   bool remove(RuleId id, Band band);
+  // Empty a band. Clearing the authority band drops every binding, the
+  // table-owned one included, and retires their counters.
   void clear_band(Band band);
+
+  // Bind a shared rule set into the authority band, with zeroed counters.
+  // All of its rules fit under the non-cache capacity or none are bound: a
+  // bind that does not fit counts every rule as rejected and returns false.
+  // Binding a key that is already bound keeps its counters (a refresh).
+  // Either way each rule counts as one install, as per-rule installs would.
+  bool bind(const AuthorityRuleSet& set);
+  // Drop the binding for `key`, retiring its counters; false if unbound.
+  bool unbind(std::uint32_t key);
+
+  // Credit a hit to rule `position` of the set bound under `key`: what a
+  // redirect resolution that already knows the winner's position calls.
+  // Returns false, crediting nothing, if `key` is not bound.
+  bool hit_bound(std::uint32_t key, std::size_t position, std::uint64_t bytes = 1);
 
   // Find the winning entry: lowest band first, then rule priority order
   // within the band. A hit updates last_hit and counters. Expired entries
   // are swept (with identical semantics to an eager per-lookup sweep) before
   // matching; the sweep is skipped while the expiry watermark proves no
-  // entry can have timed out.
+  // entry can have timed out. An authority-band winner is returned as a
+  // row materialized in the table (rule, band and counters; clocks read 0),
+  // valid until the next lookup, peek or find.
   const FlowEntry* lookup(const BitVec& packet, double now, std::uint64_t bytes = 1);
 
   // Non-mutating probe (no counter/LRU update, no expiry). Uses the same
@@ -138,17 +190,28 @@ class FlowTable {
   // winner at a given instant.
   const FlowEntry* peek(const BitVec& packet, double now) const;
 
-  // Credit a hit to a specific entry by id (used when the control logic
-  // resolved the match out-of-band, e.g. an authority switch handling a
-  // redirected packet against its partition). Returns false if absent.
+  // Credit a hit to a specific entry by id. Returns false if absent. On
+  // the authority band this searches the bound rule sets linearly; the
+  // redirect path uses hit_bound() instead.
   bool hit(RuleId id, Band band, double now, std::uint64_t bytes = 1);
 
   std::size_t expire(double now);
 
-  std::size_t size(Band band) const { return bands_[index(band)].by_id.size(); }
+  // Entries in a band; for the authority band, the bound rules.
+  std::size_t size(Band band) const {
+    return band == Band::kAuthority ? authority_size_ : state(band).by_id.size();
+  }
   std::size_t total_size() const;
   std::size_t cache_capacity() const { return cache_capacity_; }
+  // An authority-band result is a materialized row (see lookup()).
   const FlowEntry* find(RuleId id, Band band) const;
+
+  // Heap bytes a band holds: entries, indices and the capacity slack of
+  // their vectors and hash tables (estimated from sizes and bucket counts,
+  // before allocator overhead). The slab's free slots count toward the
+  // cache band, whose churn leaves them. The authority band counts its
+  // bindings, counters and materialized rows, not the shared rule sets.
+  std::size_t memory_bytes(Band band) const;
 
   // One entry's liveness+match test, shared verbatim by lookup and peek (and
   // the property suite asserts their agreement): a rule wins iff it has not
@@ -161,7 +224,9 @@ class FlowTable {
   // slab slots over live entries. The cache band's order is materialized
   // (sorted) when the view is taken, so this is O(n log n) for the cache
   // band; it is meant for dumps, audits and purges, not the packet path.
-  // Stable while the table is not mutated.
+  // Stable while the table is not mutated. The authority band's rows are
+  // materialized into storage the table owns, which the next
+  // entries(Band::kAuthority) call reuses.
   class BandView {
    public:
     class iterator {
@@ -199,10 +264,16 @@ class FlowTable {
     std::vector<std::uint32_t> slots_;
   };
 
-  BandView entries(Band band) const {
-    return BandView(slab_.data(), band == Band::kCache
-                                      ? cache_order()
-                                      : bands_[index(band)].order);
+  BandView entries(Band band) const;
+
+  // Every authority-band rule with its counters, in no particular order,
+  // without materializing rows: for stats walks that would otherwise keep
+  // a FlowEntry per bound rule alive.
+  template <typename Fn>
+  void for_each_authority_rule(Fn&& fn) const {
+    for (const Binding& b : bindings_) {
+      for (std::size_t i = 0; i < b.counters.size(); ++i) fn(b.set.rules->at(i), b.counters[i]);
+    }
   }
 
   const FlowTableStats& stats() const { return stats_; }
@@ -224,22 +295,38 @@ class FlowTable {
   // stay exact across cache churn (the transparency property). Redirect
   // plumbing (encap actions, partition band) is excluded — those hits are
   // re-counted at the authority switch and would double-book.
-  struct RetiredCounters {
+  struct RuleCounters {
     std::uint64_t packets = 0;
     std::uint64_t bytes = 0;
   };
-  const std::unordered_map<RuleId, RetiredCounters>& retired() const {
+  const std::unordered_map<RuleId, RuleCounters>& retired() const {
     return retired_;
   }
 
  private:
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
 
+  // A slab-backed band: the cache or the partition band.
   struct BandState {
-    // Authority/partition bands: slab slots in rule_before order. Unused for
-    // the cache band, whose order lives in the indices below.
+    // Partition band: slab slots in rule_before order. Unused for the cache
+    // band, whose order lives in the indices below.
     std::vector<std::uint32_t> order;
     std::unordered_map<RuleId, std::uint32_t> by_id;  // rule id -> slab slot
+  };
+
+  // One authority-band binding: a rule set and its counters, parallel to
+  // set.rules. The table-owned binding (key kOwnedKey) owns its rules and
+  // has no region or tree: it covers the flow space and matches linearly.
+  struct Binding {
+    AuthorityRuleSet set;
+    std::vector<RuleCounters> counters;
+    std::unique_ptr<RuleTable> owned;
+  };
+  static constexpr std::uint32_t kOwnedKey = 0xffffffffu;
+  // Where an authority rule sits: binding index and position in its rules.
+  struct BoundRule {
+    std::size_t binding = 0;
+    std::size_t position = 0;
   };
 
   // Per-slot intrusive links of a cache entry.
@@ -250,6 +337,12 @@ class FlowTable {
   };
 
   static std::size_t index(Band band) { return static_cast<std::size_t>(band); }
+  BandState& state(Band band) {
+    return band == Band::kCache ? cache_ : partition_;
+  }
+  const BandState& state(Band band) const {
+    return band == Band::kCache ? cache_ : partition_;
+  }
   // Cache entries whose care bits cover every used header bit go into the
   // exact-match index.
   static bool exact_indexed(const Ternary& match);
@@ -271,7 +364,7 @@ class FlowTable {
   std::uint32_t alloc_slot();
   void release_slot(std::uint32_t slot);
 
-  // Authority/partition band order: binary-searched insert and erase.
+  // Partition band order: binary-searched insert and erase.
   void order_insert(BandState& bs, std::uint32_t slot);
   void order_erase(BandState& bs, std::uint32_t slot);
 
@@ -316,12 +409,32 @@ class FlowTable {
     if (removal_listener_) removal_listener_(entry, cause);
   }
 
-  // Shared winner selection for lookup/peek: first live match in cache
-  // (exact chain + wildcard scan), then authority, then partition.
-  const FlowEntry* find_live_match(const BitVec& packet, double now) const;
+  // Winner selection shared by lookup and peek, one band at a time: the
+  // first live match in the cache band (exact chain + wildcard scan), in the
+  // bindings, then in the partition band.
+  const FlowEntry* cache_match(const BitVec& packet, double now) const;
+  std::optional<BoundRule> authority_match(const BitVec& packet) const;
+  const FlowEntry* partition_match(const BitVec& packet, double now) const;
+
+  const Binding* binding_of(std::uint32_t key) const;
+  void build_region_tree() const;
+  void add_binding(Binding binding);
+  std::optional<BoundRule> find_bound(RuleId id) const;
+  const Rule& bound_rule(BoundRule at) const {
+    return bindings_[at.binding].set.rules->at(at.position);
+  }
+  // Fill authority_row_ with the row for `at`.
+  const FlowEntry* authority_row(BoundRule at) const;
+  // The table-owned binding, created empty on first use.
+  Binding& owned_binding();
+  bool install_owned(const Rule& rule);
+  std::size_t install_owned_bulk(const std::vector<const Rule*>& rules);
+  bool remove_owned(RuleId id);
+  void erase_binding(std::size_t index);
 
   void evict_lru_cache();
   void retire(const FlowEntry& entry);
+  void retire(const Rule& rule, const RuleCounters& counters);
   // Safety cascade: when a cache entry leaves (eviction, timeout, delete),
   // every cache entry that listed it as a guard is unsafe — without its
   // protector it would steal packets — and must leave too, recursively.
@@ -338,7 +451,8 @@ class FlowTable {
   std::vector<FlowEntry> slab_;     // stable entry storage
   std::vector<CacheLinks> links_;   // parallel to slab_
   std::vector<std::uint32_t> free_slots_;
-  BandState bands_[kNumBands];
+  BandState cache_;
+  BandState partition_;
 
   // Cache-band indices. exact_buckets_ maps value & used_header_mask() to
   // the head of a chain of exact-indexed entries with that key (chained
@@ -360,8 +474,22 @@ class FlowTable {
   double expiry_watermark_ = std::numeric_limits<double>::infinity();
 
   FlowTableStats stats_;
-  std::unordered_map<RuleId, RetiredCounters> retired_;
+  std::unordered_map<RuleId, RuleCounters> retired_;
   RemovalListener removal_listener_;
+
+  // Authority band (after the cache band's members, which every lookup
+  // reads): the bindings (in no particular order), their index by key, the
+  // rules they hold, and the rows last materialized for lookup/peek/find and
+  // for entries(). The shared bindings' regions, as rules whose ids are
+  // binding indices, sit in a decision tree that the first lookup after a
+  // bind or unbind rebuilds.
+  std::vector<Binding> bindings_;
+  std::unordered_map<std::uint32_t, std::size_t> by_key_;
+  std::size_t authority_size_ = 0;
+  mutable RuleTable region_rules_;
+  mutable std::unique_ptr<DTreeClassifier> region_tree_;
+  mutable FlowEntry authority_row_;
+  mutable std::vector<FlowEntry> authority_rows_;
 };
 
 }  // namespace difane

@@ -14,7 +14,20 @@
 //
 // The authority side is held to the same standard: resolving a redirected
 // packet in a partition of 16K campus rules must cost about what it costs
-// in one of 1K. A linear scan of the partition gives about 16x.
+// in one of 1K. A linear scan of the partition gives about 16x. So is a
+// cache miss that the authority band of an ingress answers (as in the line
+// topology, where authority switches are ingresses): a band binding 100K
+// campus rules costs within 2x of one binding 1K; a scan of the band's
+// rules gives about 100x. The partitions hold about 1024 rules at both
+// sizes, as a TCAM budget would keep them, so the policy grows by adding
+// partitions. The working set is 256 headers inside one partition at both
+// sizes, so both points walk trees of the same size over the same
+// footprint and the ratio prices the band around them: finding the one
+// binding among 128 rather than among one.
+//
+// One gate here is a byte count, not a wall ratio: the authority band holds
+// at most 24 B per bound rule (its counters) on a 100K-rule plan served by a
+// primary and a backup, however many rules the replicas share.
 //
 // Labelled `perf`: excluded from sanitizer runs, where wall ratios mean
 // nothing.
@@ -213,6 +226,69 @@ class AuthorityPoint {
   std::vector<BitVec> probes_;
 };
 
+// A campus policy of `rules` rules cut into partitions of at most
+// `capacity` rules over `authorities` authority switches.
+struct CampusPlan {
+  CampusPlan(std::size_t rules, std::size_t capacity, std::uint32_t authorities)
+      : policy(campus_like(rules, 0xa17)),
+        plan(Partitioner(params(capacity)).build(policy, authorities)) {}
+
+  static PartitionerParams params(std::size_t capacity) {
+    PartitionerParams p;
+    p.capacity = capacity;
+    return p;
+  }
+
+  RuleTable policy;
+  PartitionPlan plan;
+};
+
+// Cache misses at an ingress that is the one authority switch of a plan of
+// `rules` rules, so its band binds every partition. Headers are sampled
+// inside policy rules and kept when they fall in the partition of the first
+// one, a fixed working set of kWorkingSet at every size.
+class BoundMissPoint {
+ public:
+  explicit BoundMissPoint(std::size_t rules) : campus_(rules, 1024, 1), table_(1024) {
+    for (const Partition& p : campus_.plan.partitions()) {
+      EXPECT_TRUE(table_.bind(authority_rule_set(p)));
+    }
+    EXPECT_GE(table_.size(Band::kAuthority), rules);
+    Rng rng(0x5ca1e);
+    const RuleTable& policy = campus_.policy;
+    const Partition* home = nullptr;
+    while (probes_.size() < kWorkingSet) {
+      const BitVec h = policy.at(rng.uniform(0, policy.size() - 1)).match.sample_point(rng);
+      const Partition& p = campus_.plan.find(h);
+      if (home == nullptr) home = &p;
+      if (&p == home) probes_.push_back(h);
+    }
+  }
+
+  double run(int) {
+    std::size_t answered = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      for (const BitVec& p : probes_) {
+        now_ += 1e-9;
+        const FlowEntry* e = table_.lookup(p, now_);
+        if (e != nullptr && e->band == Band::kAuthority) ++answered;
+      }
+    }
+    const double secs = seconds_since(start);
+    EXPECT_EQ(answered, kRounds * probes_.size()) << "the authority band answers";
+    return secs * 1e9 / static_cast<double>(kRounds * probes_.size());
+  }
+
+ private:
+  static constexpr std::size_t kWorkingSet = 256;
+  static constexpr std::size_t kRounds = 32;
+  CampusPlan campus_;
+  FlowTable table_;
+  std::vector<BitVec> probes_;
+  double now_ = 0.0;
+};
+
 TEST(FlowTableScaling, LookupCostFlatFrom1KTo64KEntries) {
   LookupPoint small(1024);
   LookupPoint large(65536);
@@ -244,6 +320,37 @@ TEST(FlowTableScaling, AuthorityResolveCostFlatFrom1KTo16KRules) {
   EXPECT_LT(large_ns / small_ns, kMaxRatio)
       << "authority resolve: " << small_ns << " ns at 1K rules, " << large_ns
       << " ns at 16K rules";
+}
+
+TEST(FlowTableScaling, BoundAuthorityMissCostFlatFrom1KTo100KRules) {
+  BoundMissPoint small(1024);
+  BoundMissPoint large(100000);
+  const auto [small_ns, large_ns] = min_ns(small, large);
+  RecordProperty("bound_miss_ns_1k", std::to_string(small_ns));
+  RecordProperty("bound_miss_ns_100k", std::to_string(large_ns));
+  EXPECT_LT(large_ns / small_ns, 2.0)
+      << "authority-band miss: " << small_ns << " ns at 1K rules, " << large_ns
+      << " ns at 100K rules";
+}
+
+// Every partition bound at its primary and its backup, as the controller
+// binds them: the bands hold counters, not rule copies.
+TEST(FlowTableScaling, AuthorityStateAtMost24BytesPerBoundRule) {
+  const CampusPlan campus(100000, 8192, 8);  // the policy100k_burst shape
+  std::vector<FlowTable> tables(8);
+  for (const Partition& p : campus.plan.partitions()) {
+    ASSERT_TRUE(tables[p.primary].bind(authority_rule_set(p)));
+    ASSERT_TRUE(tables[p.backup].bind(authority_rule_set(p)));
+  }
+  std::size_t bound = 0, bytes = 0;
+  for (const FlowTable& t : tables) {
+    bound += t.size(Band::kAuthority);
+    bytes += t.memory_bytes(Band::kAuthority);
+  }
+  ASSERT_EQ(bound, 2 * campus.plan.total_rules());
+  const double per_rule = static_cast<double>(bytes) / static_cast<double>(bound);
+  RecordProperty("authority_bytes_per_bound_rule", std::to_string(per_rule));
+  EXPECT_LE(per_rule, 24.0) << bytes << " B over " << bound << " bound rules";
 }
 
 }  // namespace

@@ -9,8 +9,20 @@
 //
 // The reference below is the pre-overhaul implementation (vector bands,
 // full sweep per lookup, linear id scans, O(cache x guards) guard refresh)
-// with one spec change: a same-id refresh that changes the priority moves
-// the entry to its new rule_before position instead of keeping its slot.
+// with two spec changes: a same-id refresh that changes the priority moves
+// the entry to its new rule_before position instead of keeping its slot;
+// and authority entries keep no clocks (install_time and last_hit read 0,
+// hits move only counters) and take no timeouts, since the real authority
+// band stores counters only.
+//
+// The real authority band binds shared rule sets (a partition's rules and
+// tree) instead of storing entries. The reference models a bind as per-rule
+// installs of the set's rules — all of them or, over the capacity, none —
+// and an unbind as per-rule removals; bound rules cannot be removed one by
+// one. A fourth property drives binds, unbinds, crash clears, per-rule
+// authority installs, lookups and hits over random partition plans on one
+// to three replica tables that share each plan, and also compares the
+// collect_stats rows a flow-stats request would return.
 //
 // Microflow installs come in both shapes the switch sees: care over every
 // header bit, and care over only the 253 bits the 12-tuple uses (what
@@ -20,11 +32,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <vector>
 
-#include "proptest/gen.hpp"
+#include "core/authority.hpp"
+#include "ctrlchan/switch_agent.hpp"
 #include "flowspace/header.hpp"
+#include "partition/partitioner.hpp"
+#include "proptest/gen.hpp"
 #include "proptest/property.hpp"
 #include "switchsim/flow_table.hpp"
 
@@ -40,6 +57,7 @@ class ReferenceFlowTable {
 
   bool install(const Rule& rule, Band band, double now, double idle_timeout = 0.0,
                double hard_timeout = 0.0, std::vector<RuleId> guards = {}) {
+    if (band == Band::kAuthority) now = 0.0;  // no clocks in this band
     auto& entries = bands_[index(band)];
     // Group safety (the spec the real table implements): a dependent's idle
     // budget is capped at the tightest guard's remaining lifetime, and a
@@ -118,6 +136,44 @@ class ReferenceFlowTable {
   }
 
   bool remove(RuleId id, Band band) {
+    if (band == Band::kAuthority) {
+      for (const auto& [key, rules] : bound_) {
+        if (rules->contains(id)) return false;  // leaves by unbind only
+      }
+    }
+    return erase(id, band);
+  }
+
+  bool bind(const AuthorityRuleSet& set) {
+    const std::size_t n = set.rules->size();
+    if (bound_.count(set.key) == 0) {
+      const std::size_t other = bands_[index(Band::kAuthority)].size() +
+                                bands_[index(Band::kPartition)].size();
+      if (other + n > hw_capacity_) {
+        stats_.install_rejected += n;
+        return false;
+      }
+      bound_[set.key] = set.rules;
+    }
+    for (const Rule& rule : set.rules->rules()) install(rule, Band::kAuthority, 0.0);
+    return true;
+  }
+
+  bool unbind(std::uint32_t key) {
+    const auto it = bound_.find(key);
+    if (it == bound_.end()) return false;
+    for (const Rule& rule : it->second->rules()) erase(rule.id, Band::kAuthority);
+    bound_.erase(it);
+    return true;
+  }
+
+  bool hit_bound(std::uint32_t key, std::size_t position, std::uint64_t bytes) {
+    const auto it = bound_.find(key);
+    if (it == bound_.end()) return false;
+    return hit(it->second->at(position).id, Band::kAuthority, 0.0, bytes);
+  }
+
+  bool erase(RuleId id, Band band) {
     auto& entries = bands_[index(band)];
     const auto it = std::find_if(entries.begin(), entries.end(),
                                  [id](const FlowEntry& e) { return e.rule.id == id; });
@@ -132,6 +188,7 @@ class ReferenceFlowTable {
   void clear_band(Band band) {
     for (const auto& entry : bands_[index(band)]) retire(entry);
     bands_[index(band)].clear();
+    if (band == Band::kAuthority) bound_.clear();
   }
 
   std::size_t expire(double now) {
@@ -162,7 +219,7 @@ class ReferenceFlowTable {
     for (auto& entries : bands_) {
       for (auto& entry : entries) {
         if (entry.rule.match.matches(packet)) {
-          entry.last_hit = now;
+          if (entry.band != Band::kAuthority) entry.last_hit = now;
           ++entry.packets;
           entry.bytes += bytes;
           ++stats_.hits_per_band[index(entry.band)];
@@ -198,7 +255,7 @@ class ReferenceFlowTable {
     const auto it = std::find_if(entries.begin(), entries.end(),
                                  [id](const FlowEntry& e) { return e.rule.id == id; });
     if (it == entries.end()) return false;
-    it->last_hit = now;
+    if (band != Band::kAuthority) it->last_hit = now;
     ++it->packets;
     it->bytes += bytes;
     ++stats_.hits_per_band[index(band)];
@@ -207,7 +264,7 @@ class ReferenceFlowTable {
 
   const std::vector<FlowEntry>& entries(Band band) const { return bands_[index(band)]; }
   const FlowTableStats& stats() const { return stats_; }
-  const std::unordered_map<RuleId, FlowTable::RetiredCounters>& retired() const {
+  const std::unordered_map<RuleId, FlowTable::RuleCounters>& retired() const {
     return retired_;
   }
 
@@ -269,8 +326,9 @@ class ReferenceFlowTable {
   std::size_t cache_capacity_;
   std::size_t hw_capacity_;
   std::vector<FlowEntry> bands_[kNumBands];
+  std::map<std::uint32_t, const RuleTable*> bound_;  // bind key -> its rules
   FlowTableStats stats_;
-  std::unordered_map<RuleId, FlowTable::RetiredCounters> retired_;
+  std::unordered_map<RuleId, FlowTable::RuleCounters> retired_;
 };
 
 std::string entry_diff(const FlowEntry& a, const FlowEntry& b) {
@@ -392,10 +450,9 @@ void drive(proptest::PropertyContext& ctx, const MixParams& mix) {
                                                : used_header_mask());
         rule.action = Action::forward(static_cast<std::uint32_t>(ctx.rng.uniform(0, 3)));
       }
-      const double idle =
-          ctx.rng.bernoulli(mix.p_timeout) ? ctx.rng.exponential(2.0) : 0.0;
-      const double hard =
-          ctx.rng.bernoulli(mix.p_timeout) ? ctx.rng.exponential(1.0) : 0.0;
+      double idle = ctx.rng.bernoulli(mix.p_timeout) ? ctx.rng.exponential(2.0) : 0.0;
+      double hard = ctx.rng.bernoulli(mix.p_timeout) ? ctx.rng.exponential(1.0) : 0.0;
+      if (band == Band::kAuthority) idle = hard = 0.0;  // proactive: never expire
       std::vector<RuleId> guards;
       if (band == Band::kCache && ctx.rng.bernoulli(mix.p_guards)) {
         // Guard ids drawn from the same small space, so some point at live
@@ -489,6 +546,181 @@ DIFANE_PROPERTY(FlowTableLruCascadeMatchesEagerReference, 120) {
   mix.cache_cap_min = 2;
   mix.cache_cap_max = 8;
   drive(ctx, mix);
+}
+
+// collect_stats over the reference: the rows a flow-stats request returns.
+std::vector<FlowStatsEntry> reference_stats(const ReferenceFlowTable& r) {
+  std::map<RuleId, FlowStatsEntry> by_origin;
+  for (const auto band : {Band::kCache, Band::kAuthority}) {
+    for (const auto& entry : r.entries(band)) {
+      if (entry.rule.action.type == ActionType::kEncap) continue;
+      auto& row = by_origin[entry.rule.origin_or_self()];
+      row.origin = entry.rule.origin_or_self();
+      row.packets += entry.packets;
+      row.bytes += entry.bytes;
+      row.installed_copies += 1;
+    }
+  }
+  for (const auto& [origin, counters] : r.retired()) {
+    auto& row = by_origin[origin];
+    row.origin = origin;
+    row.packets += counters.packets;
+    row.bytes += counters.bytes;
+  }
+  std::vector<FlowStatsEntry> out;
+  for (const auto& [origin, row] : by_origin) out.push_back(row);
+  return out;
+}
+
+std::string diff_stats(const Switch& sw, const ReferenceFlowTable& r) {
+  const auto got = collect_stats(sw);
+  const auto want = reference_stats(r);
+  if (got.size() != want.size()) {
+    return " stats rows " + std::to_string(got.size()) + "!=" + std::to_string(want.size());
+  }
+  std::ostringstream os;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].origin != want[i].origin || got[i].packets != want[i].packets ||
+        got[i].bytes != want[i].bytes ||
+        got[i].installed_copies != want[i].installed_copies) {
+      os << " stats[origin " << want[i].origin << "]";
+    }
+  }
+  return os.str();
+}
+
+// Authority bindings against per-rule installs. A random policy is cut into
+// a random plan (small capacities, so several partitions); one to three
+// replica tables bind and unbind its partitions, take authority installs of
+// policy rules one by one and in bulk (ids disjoint from the plan's copies,
+// and a wildcard region that overlaps every partition), cache installs that
+// shadow the authority band, partition-band installs that share its
+// capacity, crash clears, and hits credited by position the way a redirect
+// resolution credits them.
+void drive_bindings(proptest::PropertyContext& ctx) {
+  proptest::TableGenParams tg;
+  tg.max_rules = 24;
+  tg.add_default = ctx.rng.bernoulli(0.5);
+  const RuleTable policy = proptest::gen_table(ctx.rng, tg);
+  PartitionerParams pp;
+  pp.capacity = static_cast<std::size_t>(ctx.rng.uniform(2, 8));
+  const auto authorities = static_cast<std::uint32_t>(ctx.rng.uniform(1, 4));
+  const PartitionPlan plan = Partitioner(pp).build(policy, authorities);
+  const std::vector<Rule> redirects = plan.make_partition_rules(-1, 50000);
+  const auto& parts = plan.partitions();
+
+  const std::size_t replicas = static_cast<std::size_t>(ctx.rng.uniform(1, 3));
+  const std::size_t cache_cap = static_cast<std::size_t>(ctx.rng.uniform(2, 16));
+  const std::size_t hw_cap = ctx.rng.bernoulli(0.3)
+                                 ? static_cast<std::size_t>(ctx.rng.uniform(4, 40))
+                                 : std::numeric_limits<std::size_t>::max();
+  std::vector<std::unique_ptr<Switch>> switches;
+  std::vector<ReferenceFlowTable> refs;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    switches.push_back(std::make_unique<Switch>(static_cast<SwitchId>(r), cache_cap, hw_cap));
+    refs.emplace_back(cache_cap, hw_cap);
+  }
+  // Ids the id-based ops draw from: policy rules and the plan's copies.
+  std::vector<RuleId> ids;
+  for (const Rule& r : policy.rules()) ids.push_back(r.id);
+  for (const Partition& p : parts) {
+    for (const Rule& r : p.rules.rules()) ids.push_back(r.id);
+  }
+
+  double now = 0.0;
+  for (std::size_t op = 0; op < 160; ++op) {
+    now += ctx.rng.exponential(4.0);
+    const std::size_t r = static_cast<std::size_t>(ctx.rng.uniform(0, replicas - 1));
+    FlowTable& table = switches[r]->table();
+    ReferenceFlowTable& ref = refs[r];
+    const auto report = [&](const char* what) -> std::string {
+      std::ostringstream os;
+      os << "op " << op << " (" << what << ") replica " << r << " of " << replicas
+         << ", " << parts.size() << " partitions, seed 0x" << std::hex << ctx.case_seed;
+      return os.str();
+    };
+    const RuleId id = ids[ctx.rng.uniform(0, ids.size() - 1)];
+    const std::uint64_t kind = ctx.rng.uniform(0, 99);
+    if (kind < 16) {
+      const Partition& p = parts[ctx.rng.uniform(0, parts.size() - 1)];
+      ASSERT_EQ(table.bind(authority_rule_set(p)), ref.bind(authority_rule_set(p)))
+          << report("bind");
+    } else if (kind < 24) {
+      const auto key = static_cast<std::uint32_t>(ctx.rng.uniform(0, parts.size()));
+      ASSERT_EQ(table.unbind(key), ref.unbind(key)) << report("unbind");
+    } else if (kind < 27) {  // crash: the switch reboots with an empty TCAM
+      for (const Band band : {Band::kCache, Band::kAuthority, Band::kPartition}) {
+        table.clear_band(band);
+        ref.clear_band(band);
+      }
+    } else if (kind < 31) {
+      const Rule& rule = policy.at(ctx.rng.uniform(0, policy.size() - 1));
+      ASSERT_EQ(table.install(rule, Band::kAuthority, now),
+                ref.install(rule, Band::kAuthority, now))
+          << report("owned install");
+    } else if (kind < 35) {  // bulk: as many per-rule installs in order
+      std::vector<const Rule*> batch;
+      std::size_t want = 0;
+      for (std::size_t n = ctx.rng.uniform(1, 5); n > 0; --n) {
+        batch.push_back(&policy.at(ctx.rng.uniform(0, policy.size() - 1)));
+        if (ref.install(*batch.back(), Band::kAuthority, now)) ++want;
+      }
+      ASSERT_EQ(table.install_bulk(batch, Band::kAuthority, now), want)
+          << report("owned bulk install");
+    } else if (kind < 42) {
+      const Rule& rule = policy.at(ctx.rng.uniform(0, policy.size() - 1));
+      const double idle = ctx.rng.bernoulli(0.5) ? ctx.rng.exponential(1.0) : 0.0;
+      ASSERT_EQ(table.install(rule, Band::kCache, now, idle),
+                ref.install(rule, Band::kCache, now, idle))
+          << report("cache install");
+    } else if (kind < 46) {
+      const Rule& rule = redirects[ctx.rng.uniform(0, redirects.size() - 1)];
+      ASSERT_EQ(table.install(rule, Band::kPartition, now),
+                ref.install(rule, Band::kPartition, now))
+          << report("partition install");
+    } else if (kind < 76) {
+      const BitVec pkt = proptest::gen_boundary_packet(ctx.rng, policy);
+      const FlowEntry* pa = table.peek(pkt, now);
+      const FlowEntry* pb = ref.peek(pkt, now);
+      ASSERT_EQ(pa == nullptr, pb == nullptr) << report("peek");
+      if (pa != nullptr) {
+        ASSERT_EQ(pa->rule.id, pb->rule.id) << report("peek");
+        ASSERT_EQ(pa->band, pb->band) << report("peek");
+      }
+      const FlowEntry* la = table.lookup(pkt, now, 7);
+      const FlowEntry* lb = ref.lookup(pkt, now, 7);
+      ASSERT_EQ(la == nullptr, lb == nullptr) << report("lookup");
+      if (la != nullptr) {
+        ASSERT_EQ(la->rule.id, lb->rule.id) << report("lookup");
+        ASSERT_EQ(la->packets, lb->packets) << report("lookup");
+      }
+    } else if (kind < 88) {  // a redirect resolved in its partition
+      const BitVec pkt = proptest::gen_boundary_packet(ctx.rng, policy);
+      const Partition& p = plan.find(pkt);
+      const auto pos = p.match_index(pkt);
+      if (pos.has_value()) {
+        ASSERT_EQ(table.hit_bound(p.id, *pos, 5), ref.hit_bound(p.id, *pos, 5))
+            << report("hit_bound");
+      }
+    } else if (kind < 94) {
+      ASSERT_EQ(table.hit(id, Band::kAuthority, now, 3),
+                ref.hit(id, Band::kAuthority, now, 3))
+          << report("hit");
+    } else {
+      ASSERT_EQ(table.remove(id, Band::kAuthority), ref.remove(id, Band::kAuthority))
+          << report("remove");
+    }
+    for (const Band band : {Band::kCache, Band::kAuthority, Band::kPartition}) {
+      ASSERT_EQ(table.size(band), ref.entries(band).size())
+          << report("size") << " band " << band_name(band);
+    }
+    const std::string diff = diff_tables(table, ref) + diff_stats(*switches[r], ref);
+    ASSERT_TRUE(diff.empty()) << report("state diff") << ": " << diff;
+  }
+}
+
+DIFANE_PROPERTY(AuthorityBindingsMatchPerRuleReference, 150) {
+  drive_bindings(ctx);
 }
 
 // A full-mask entry and a used-bits entry that agree on the 253 used bits

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 build+test pass, then the same suite
+# Full verification sweep: the tier-1 build+test pass, a traced e2ebench
+# smoke run per workload, then the same suite
 # (minus the wall-clock `perf` label) plus a short differential fuzz soak
 # under ASan+UBSan (DIFANE_SANITIZE=ON),
 # plus a TSan pass (DIFANE_SANITIZE=thread) over the unit and chaos labels —
@@ -31,7 +32,7 @@
 # asserts with bench_compare that its deterministic metrics (rule counts,
 # peak concurrency, delivery counters) reproduce byte-for-byte; wall and RSS
 # metrics are host measurements and exempt. The full-size tier (10M rules /
-# 1M concurrent flows, minutes + ~10 GiB) is run manually:
+# 1M concurrent flows, about a minute and ~4 GiB) is run manually:
 #   ./build/bench/bench_e11_scale --json BENCH_E11.json
 #
 # --perf gates the build against the committed perf baseline
@@ -92,6 +93,17 @@ ctest --test-dir build --output-on-failure -L property -j "$jobs"
 # of walls measured under ASan/UBSan says nothing about the real build.
 echo "== scaling: ctest -L perf =="
 ctest --test-dir build --output-on-failure -L perf
+
+# The end-to-end benchmark compiles e2ebench/difane_e2e.cpp against src/, so
+# an API change that breaks it should fail here rather than when the
+# benchmark runs. One short traced run per workload (tracing drives the
+# per-layer probes, which use the most of the API) plus the harness's own
+# tests. Each run takes a few seconds.
+echo "== e2ebench: traced smoke run per workload + harness tests =="
+for workload in zipf_cached mice_40k mice_evict_export policy100k_burst; do
+  python3 e2ebench/run.py --workload "$workload" --size tiny --seconds 1 --trace 1
+done
+python3 e2ebench/test_e2ebench.py
 
 if [[ "$quick_bench" == 1 ]]; then
   echo "== quick-bench: bench_all --quick + determinism gate =="
